@@ -1,7 +1,7 @@
 // detcol — unified command-line driver for the detcolor library.
 //
 // Subcommands:
-//   gen     generate a graph and write it as an edge list
+//   gen     generate a graph and write it (format from the --out extension)
 //   color   color a graph (generated or read from file) and emit the coloring
 //   verify  check a coloring file against its graph and palettes
 //   stats   run ColorReduce and emit the full JSON stats document
@@ -70,7 +70,9 @@ const char kUsage[] = R"(detcol — deterministic (Δ+1)/(deg+1)-list coloring d
 Usage: detcol <command> [--flags]
 
 Commands:
-  gen     Generate a graph, write "n m" + edge-per-line to --out (default stdout).
+  gen     Generate a graph, write it to --out in the format its extension
+          names (.dcg/.col/.graph/...); stdout and other names get the
+          "n m" + edge-per-line list.
   color   Color a graph and write a self-describing coloring file to --out.
   verify  Check a coloring file; rebuilds graph/palettes from its header.
   stats   Run ColorReduce and emit the full stats JSON to --out.
@@ -510,7 +512,16 @@ int cmd_gen(const ArgParser& args) {
                 "(--gen=ba, rgg, sgnm, sgnp)");
   }
   const GraphSource src = build_graph(args, /*allow_algo_seed=*/false);
-  with_output(args, [&](std::ostream& os) { write_edge_list(os, src.graph); });
+  // A recognized --out extension picks the format, as in `convert`; stdout
+  // and unrecognized extensions get the native edge list.
+  const std::string out = get_value_flag(args, "out", "-");
+  if (const GraphFormat fmt = format_from_extension(out);
+      fmt != GraphFormat::kAuto) {
+    write_graph_file(out, src.graph, fmt);
+  } else {
+    with_output(args,
+                [&](std::ostream& os) { write_edge_list(os, src.graph); });
+  }
   if (!get_bool_strict(args, "quiet")) {
     std::fprintf(stderr, "generated %s: n=%u, m=%zu, Delta=%u\n",
                  src.spec.c_str(), src.graph.num_nodes(),

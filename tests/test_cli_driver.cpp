@@ -13,6 +13,7 @@
 #include <string>
 
 #include "graph/coloring.hpp"
+#include "graph/formats.hpp"
 #include "graph/io.hpp"
 #include "graph/palette.hpp"
 
@@ -57,6 +58,23 @@ TEST(CliDriver, GenWritesReadableEdgeList) {
             0);
   const Graph g = read_edge_list_file(graph.string());
   EXPECT_EQ(g.num_nodes(), 400u);
+  EXPECT_GT(g.num_edges(), 0u);
+}
+
+TEST(CliDriver, GenWritesFormatNamedByOutExtension) {
+  const fs::path dir = test_dir();
+  const fs::path dcg = dir / "g.dcg";
+  const fs::path colors = dir / "c.txt";
+  ASSERT_EQ(run_detcol("gen --gen=gnp --n=300 --p=0.03 --seed=7 --quiet "
+                       "--out=" + shq(dcg.string())),
+            0);
+  ASSERT_EQ(run_detcol("color --input=" + shq(dcg.string()) +
+                       " --quiet --out=" + shq(colors.string())),
+            0);
+  // The coloring header names the .dcg input; verify rebuilds from it.
+  EXPECT_EQ(run_detcol("verify --coloring=" + shq(colors.string())), 0);
+  const Graph g = read_graph_file(dcg.string());
+  EXPECT_EQ(g.num_nodes(), 300u);
   EXPECT_GT(g.num_edges(), 0u);
 }
 

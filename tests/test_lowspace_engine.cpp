@@ -259,6 +259,7 @@ struct LsGolden {
   Graph g;
   int pal_mode;  // 0 = delta+1 uniform, 1 = deg+1 lists
   double delta;
+  double slack_exp;
   std::uint64_t want_colorhash;
   std::uint64_t want_rounds;
   std::uint64_t want_words;
@@ -274,15 +275,20 @@ struct LsGolden {
 
 std::vector<LsGolden> lowspace_goldens() {
   std::vector<LsGolden> cases;
-  cases.push_back({"regular", gen_random_regular(900, 64, 9), 0, 0.04,
+  cases.push_back({"regular", gen_random_regular(900, 64, 9), 0, 0.04, 0.6,
                    6476234434080133322ULL, 8055, 990060, 136, 25, 40, 70, 0,
                    5, 544, 544});
-  cases.push_back({"gnp", gen_gnp(800, 0.02, 3), 0, 0.08,
+  cases.push_back({"gnp", gen_gnp(800, 0.02, 3), 0, 0.08, 0.6,
                    18377085292517401663ULL, 276, 86472, 4, 0, 1, 4, 0, 0,
                    210568, 210568});
   cases.push_back({"powerlaw", gen_power_law(1000, 2.5, 6.0, 5), 1, 0.08,
-                   10418201203587392594ULL, 336, 46280, 4, 1, 3, 3, 0, 1,
+                   0.6, 10418201203587392594ULL, 336, 46280, 4, 1, 3, 3, 0, 1,
                    5281, 5281});
+  // The tighter slack diverts Lemma 4.5 violators to G0 at several levels,
+  // so this row pins the G0-merge path the rows above never reach.
+  cases.push_back({"regular-tight", gen_random_regular(900, 64, 9), 0, 0.04,
+                   0.5, 5905456722042443158ULL, 7143, 874566, 576, 19, 37, 68,
+                   56, 5, 701, 701});
   return cases;
 }
 
@@ -311,6 +317,7 @@ TEST(LowSpaceGolden, EndToEndResultsUnchangedFromPreEngine) {
     const PaletteSet pal = golden_palettes(cs);
     LowSpaceParams params;
     params.delta = cs.delta;
+    params.slack_exp = cs.slack_exp;
     expect_matches_golden(cs, low_space_color(cs.g, pal, params));
   }
 }
@@ -381,6 +388,7 @@ TEST(ParallelInvariance, LowSpaceBitIdenticalAcrossThreadCounts) {
     const PaletteSet pal = golden_palettes(cs);
     LowSpaceParams base_params;
     base_params.delta = cs.delta;
+    base_params.slack_exp = cs.slack_exp;
     const auto base = low_space_color(cs.g, pal, base_params);
     expect_matches_golden(cs, base);
     const std::string base_ledger = ledger_to_json(base.ledger);

@@ -15,6 +15,7 @@
 #include <functional>
 #include <numeric>
 #include <optional>
+#include <string>
 
 #include "core/color_reduce.hpp"
 #include "core/partition.hpp"
@@ -37,6 +38,15 @@ std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
 std::uint64_t seed_hash(const SeedBits& s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const auto w : s.words()) h = fnv(h, w);
+  return h;
+}
+
+/// FNV-1a over the bytes of an exported JSON document: pins the full
+/// accounting (phase order, per-phase words, stats-tree shape), not only the
+/// totals.
+std::uint64_t json_hash(const std::string& doc) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : doc) h = fnv(h, ch);
   return h;
 }
 
@@ -351,13 +361,20 @@ TEST(GoldenSeeds, EndToEndColoringsUnchanged) {
     std::uint64_t want_rounds;
     std::uint64_t want_evals;
     std::uint64_t want_partitions;
+    std::uint64_t want_ledger;  // json_hash(ledger_to_json)
+    std::uint64_t want_mpc;     // json_hash(mpc_costs_to_json)
+    std::uint64_t want_stats;   // json_hash(call_stats_to_json)
   };
   std::vector<Case> cases;
-  cases.push_back(
-      {gen_random_regular(1024, 32, 7), 5179980065975731409ULL, 856, 6, 6});
-  cases.push_back({gen_gnp(512, 0.08, 3), 7636738355350604075ULL, 844, 6, 6});
-  cases.push_back(
-      {gen_power_law(800, 2.5, 24.0, 5), 12403744315688176387ULL, 556, 4, 4});
+  cases.push_back({gen_random_regular(1024, 32, 7), 5179980065975731409ULL,
+                   856, 6, 6, 14668361325529626628ULL, 3790906655222467004ULL,
+                   15862165051851737684ULL});
+  cases.push_back({gen_gnp(512, 0.08, 3), 7636738355350604075ULL, 844, 6, 6,
+                   15076212877810139163ULL, 2839253470193173812ULL,
+                   2929161421465481137ULL});
+  cases.push_back({gen_power_law(800, 2.5, 24.0, 5), 12403744315688176387ULL,
+                   556, 4, 4, 13381852804712599765ULL,
+                   15895287110648106974ULL, 14725974389332201075ULL});
   for (const auto& cs : cases) {
     const PaletteSet pal = PaletteSet::delta_plus_one(cs.g);
     const auto res = color_reduce(cs.g, pal, ColorReduceConfig{});
@@ -369,6 +386,9 @@ TEST(GoldenSeeds, EndToEndColoringsUnchanged) {
     EXPECT_EQ(res.ledger.total_rounds(), cs.want_rounds);
     EXPECT_EQ(res.total_seed_evaluations, cs.want_evals);
     EXPECT_EQ(res.num_partitions, cs.want_partitions);
+    EXPECT_EQ(json_hash(ledger_to_json(res.ledger)), cs.want_ledger);
+    EXPECT_EQ(json_hash(mpc_costs_to_json(res.mpc)), cs.want_mpc);
+    EXPECT_EQ(json_hash(call_stats_to_json(res.root)), cs.want_stats);
   }
 }
 
@@ -436,6 +456,11 @@ TEST(ParallelInvariance, ForcedRecursionLedgersIdenticalAcrossThreadCounts) {
   ColorReduceConfig base_cfg;
   base_cfg.part.collect_factor = 2.0;
   const auto base = color_reduce(g, pal, base_cfg);
+  EXPECT_EQ(coloring_hash(base.coloring), 9643794990831022425ULL);
+  EXPECT_EQ(base.ledger.total_rounds(), 288u);
+  EXPECT_EQ(json_hash(ledger_to_json(base.ledger)), 15047813905420847209ULL);
+  EXPECT_EQ(json_hash(mpc_costs_to_json(base.mpc)), 13473856607834371796ULL);
+  EXPECT_EQ(json_hash(call_stats_to_json(base.root)), 2336003814892225610ULL);
   for (const unsigned t : kThreadMatrix) {
     ThreadPool pool(t);
     ColorReduceConfig cfg = base_cfg;
