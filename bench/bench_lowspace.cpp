@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
         .cell(r.ledger.total_rounds())
         .cell(r.total_mis_phases)
         .cell(r.diverted_violators)
-        .cell(r.peak_total_words)
+        .cell(r.mpc.peak_total_words)
         .cell(ms, 1);
   }
   t2.print("T7 — Theorem 1.4: (deg+1)-list coloring on power-law graphs");

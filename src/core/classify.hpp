@@ -20,9 +20,10 @@
 
 namespace detcol {
 
-/// A coloring (sub)instance: an induced graph over original node ids plus the
-/// paper's degree proxy ell. Palettes live in the driver's global PaletteSet,
-/// keyed by original id.
+/// A coloring (sub)instance of either recursion (core/bin_recursion.hpp): an
+/// induced graph over original node ids plus ColorReduce's degree proxy ell
+/// (the low-space pipeline leaves it 0). Palettes live in the run's global
+/// PaletteSet, keyed by original id.
 struct Instance {
   Graph graph;                // induced subgraph, local ids
   std::vector<NodeId> orig;   // local -> original node id

@@ -15,25 +15,18 @@
 // sequential phases add. Every produced coloring is verified against the
 // original graph by the caller (verify_coloring).
 //
-// Host-side execution: the step-3 sibling recursions are independent in the
-// model (disjoint node sets, disjoint h2-restricted palettes) and the driver
-// exploits that on real cores — ColorReduceConfig::exec dispatches them as
-// thread-pool tasks, and the seed search inside each partition() shards its
-// per-node passes over the same pool. Colorings, ledgers and stats trees are
-// bit-identical for every thread count (see README, "Parallel execution and
-// determinism").
-//
-// State ownership follows the two-tier model (docs/ARCHITECTURE.md): the
-// driver holds only immutable instance state (graph, config, a CliqueModel);
-// every recursion branch accumulates its costs, counters and implicit-store
-// registrations in a private run state that merges at the fork/join
-// boundaries in bin-index order. No locks, no atomic counters.
+// The recursion is the skeleton shared with the low-space pipeline
+// (core/bin_recursion.hpp, which also states why every output is
+// bit-identical for any thread count): step 3 runs as pool tasks when
+// ColorReduceConfig::exec has a pool. This pipeline supplies partition(),
+// collect-and-color and the CliqueModel charges.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "core/bin_recursion.hpp"
 #include "core/classify.hpp"
 #include "core/implicit_palette.hpp"
 #include "core/params.hpp"
@@ -46,24 +39,6 @@
 #include "sim/mpc_costs.hpp"
 
 namespace detcol {
-
-/// Per-call statistics, recorded as a tree mirroring the recursion.
-struct CallStats {
-  unsigned depth = 0;
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
-  std::uint64_t max_deg = 0;
-  double ell = 0.0;
-  std::uint64_t num_bins = 0;       // 0 for collected leaves
-  std::uint64_t bad_nodes = 0;
-  std::uint64_t bad_bins = 0;
-  std::uint64_t reclassified = 0;
-  std::uint64_t g0_words = 0;
-  std::uint64_t seed_evaluations = 0;
-  bool seed_met_threshold = true;
-  bool collected = false;           // leaf solved by collect-and-color
-  std::vector<CallStats> children;  // color bins first, then last bin
-};
 
 struct ColorReduceConfig {
   PartitionParams part;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/seed_eval.hpp"
-#include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/math.hpp"
 
@@ -14,7 +13,6 @@ PartitionResult partition(const Instance& inst, const PaletteSet& palettes,
                           const CliqueModel* model, MpcCosts* costs,
                           std::uint64_t salt, ExecContext exec) {
   const std::uint64_t b = num_bins(inst.ell, params);
-  DC_CHECK(b >= 2, "partition needs at least 2 bins");
   const unsigned c = params.independence;
   const unsigned h1_bits = KWiseHash::seed_bits(c);
   const unsigned h2_bits = KWiseHash::seed_bits(c);

@@ -1,26 +1,6 @@
 #include "core/seed_eval.hpp"
 
-#include <algorithm>
-
-#include "util/check.hpp"
-
 namespace detcol {
-namespace {
-
-/// Sorted union of all palettes of `inst`'s nodes.
-std::vector<Color> color_universe(const Instance& inst,
-                                  const PaletteSet& palettes) {
-  std::vector<Color> colors;
-  for (NodeId v = 0; v < inst.n(); ++v) {
-    const auto p = palettes.palette(inst.orig[v]);
-    colors.insert(colors.end(), p.begin(), p.end());
-  }
-  std::sort(colors.begin(), colors.end());
-  colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-  return colors;
-}
-
-}  // namespace
 
 std::pair<KWiseHash, KWiseHash> seed_hash_pair(const SeedBits& seed,
                                                unsigned independence,
@@ -38,75 +18,25 @@ SeedEvalEngine::SeedEvalEngine(const Instance& inst, const PaletteSet& palettes,
       n_orig_(n_orig),
       params_(params),
       exec_(exec),
-      b_(::detcol::num_bins(inst.ell, params)),  // the free function, not
-                                                 // the member accessor
-      c_(params.independence),
-      colors_(color_universe(inst, palettes)),
-      h1_(acquire_power_table(
-              params.tables,
-              std::vector<std::uint64_t>(inst.orig.begin(), inst.orig.end()),
-              c_),
-          b_),
-      h2_(acquire_power_table(params.tables, colors_, c_), b_ - 1) {
-  DC_CHECK(b_ >= 2, "partition needs at least 2 bins");
-
-  // Per-node color-universe index. Palettes are sorted and duplicate-free
-  // (PaletteSet invariant), so a palette equals the universe iff the sizes
-  // match; otherwise a merge walk maps each color to its universe slot.
-  const NodeId n = inst.n();
-  full_palette_.assign(n, false);
-  pal_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::size_t partial_total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const std::size_t sz = palettes.palette_size(inst.orig[v]);
-    full_palette_[v] = sz == colors_.size();
-    if (!full_palette_[v]) partial_total += sz;
-    pal_off_[v + 1] = partial_total;
-  }
-  pal_idx_.reserve(partial_total);
-  for (NodeId v = 0; v < n; ++v) {
-    if (full_palette_[v]) continue;
-    auto it = colors_.begin();
-    for (const Color c : palettes.palette(inst.orig[v])) {
-      it = std::lower_bound(it, colors_.end(), c);
-      DC_ASSERT(it != colors_.end() && *it == c);
-      pal_idx_.push_back(static_cast<std::uint32_t>(it - colors_.begin()));
-    }
-  }
-  cbin_.assign(colors_.size(), 0);
-  colors_in_bin_.assign(b_ - 1, 0);
-}
+      pair_(inst.graph, inst.orig, palettes,
+            ::detcol::num_bins(inst.ell, params),  // the free function, not
+                                                   // the member accessor
+            params.independence, exec, params.tables) {}
 
 const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
-  // Incremental coefficient load. The return values make the evaluation
-  // prefix-aware: when the MCE walk is fixing bits of one hash, the other
-  // hash's words are untouched and everything derived from it is reused —
-  // for chunks inside the h2 half of the seed that skips the d'(v) pass,
-  // the most expensive part of a classification.
-  const bool h1_changed = h1_.load(seed.word_range(0, c_), exec_);
-  const bool h2_changed = h2_.load(seed.word_range(c_, c_), exec_);
-  if (primed_ && !h1_changed && !h2_changed) return scratch_.cls;
+  const HashPairState::Moved moved = pair_.load(seed);
+  Classification& out = scratch_.cls;
+  if (!moved.any()) return out;
 
   const NodeId n = inst_.n();
-  Classification& out = scratch_.cls;
-  out.num_bins = b_;
-
-  if (h1_changed || !primed_) {
-    scratch_.raw_bin.resize(n);
-    h1_.bins_into(scratch_.raw_bin, /*offset=*/1, exec_);
-    classify_detail::fill_deg_in_bin(inst_.graph, scratch_.raw_bin,
-                                     out.deg_in_bin, exec_);
-  }
-
-  if (h2_changed || !primed_) {
-    // h2 once per distinct color (range mapping shards over exec_), plus
-    // per-bin color counts for the full-palette fast path (serial: one add
-    // per distinct color).
-    h2_.bins_into(cbin_, /*offset=*/1, exec_);  // 1..b-1
-    colors_in_bin_.assign(b_ - 1, 0);
-    for (std::size_t k = 0; k < cbin_.size(); ++k) {
-      ++colors_in_bin_[cbin_[k] - 1];
-    }
+  const std::uint64_t b = pair_.num_bins();
+  out.num_bins = b;
+  if (moved.h1) {
+    // classify_detail::finish reads the bins and d' from the scratch, and
+    // d' is part of the returned classification.
+    scratch_.raw_bin.assign(pair_.bins().begin(), pair_.bins().end());
+    out.deg_in_bin.assign(pair_.deg_in_bin().begin(),
+                          pair_.deg_in_bin().end());
   }
 
   // p'(v): memoized palette share. Every slot is written by its shard (the
@@ -117,25 +47,12 @@ const Classification& SeedEvalEngine::evaluate(const SeedBits& seed) {
                                     std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const NodeId v = static_cast<NodeId>(i);
-      const std::uint32_t bin = scratch_.raw_bin[v];
-      if (bin == b_) {
-        out.pal_in_bin[v] = 0;  // last bin receives no colors
-        continue;
-      }
-      if (full_palette_[v]) {
-        out.pal_in_bin[v] = colors_in_bin_[bin - 1];
-        continue;
-      }
-      std::uint64_t p = 0;
-      for (std::size_t k = pal_off_[v]; k < pal_off_[v + 1]; ++k) {
-        if (cbin_[pal_idx_[k]] == bin) ++p;
-      }
-      out.pal_in_bin[v] = p;
+      // The last bin receives no colors.
+      out.pal_in_bin[v] = scratch_.raw_bin[v] == b ? 0 : pair_.pal_in_bin(v);
     }
   });
 
   classify_detail::finish(inst_, pal_, n_orig_, params_, scratch_, exec_);
-  primed_ = true;
   return out;
 }
 

@@ -1,23 +1,10 @@
 // Batched seed-evaluation engine for derandomized partition (Lemma 3.9).
 //
-// One partition() call evaluates the classification cost of up to tens of
-// thousands of candidate seeds on a *fixed* (instance, palettes) pair. The
-// naive path rebuilds both hash functions and re-runs a Horner polynomial
-// over every node id and every palette color per candidate — O(n·Δ) field
-// evaluations each. SeedEvalEngine amortizes everything that does not depend
-// on the seed:
-//
-//  * power tables  — x^j mod 2^61-1 for every node id and every *distinct*
-//    palette color, built once (BatchKWiseEval); a candidate whose seed
-//    shares a prefix with the previous one (the method of conditional
-//    expectations changes one chunk at a time) costs one multiply-add per
-//    point per changed coefficient;
-//  * distinct-color memoization — h2 is evaluated once per distinct color in
-//    the union of palettes instead of once per (node, color) pair; nodes
-//    whose palette is the full color universe (every node, in the uniform
-//    [Δ+1] case) read their p'(v) from a per-bin color count in O(1);
-//  * scratch reuse — all classification buffers live in a ClassifyScratch
-//    owned by the engine and reused across evaluations.
+// One partition() call scores up to tens of thousands of candidate seeds on
+// a *fixed* (instance, palettes) pair; a naive candidate costs O(n·Δ) field
+// evaluations. SeedEvalEngine holds a HashPairState (core/hash_pair.hpp, the
+// part it shares with the low-space engine) and adds the Definition 3.1
+// verdict, with every buffer in a ClassifyScratch reused across evaluations.
 //
 // evaluate() is bit-identical to classify() with KWiseHash pairs built from
 // the same seed: identical field elements, identical range mapping, and the
@@ -27,25 +14,22 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "core/classify.hpp"
+#include "core/hash_pair.hpp"
 #include "core/params.hpp"
 #include "derand/seedbits.hpp"
 #include "exec/exec.hpp"
 #include "graph/palette.hpp"
-#include "hashing/batch_eval.hpp"
 
 namespace detcol {
 
 class SeedEvalEngine {
  public:
-  /// Precomputes power tables and the distinct-color index for `inst` /
-  /// `palettes`. Both must outlive the engine and stay unmodified while it
-  /// is in use (partition() holds palettes fixed for the whole seed search).
-  /// Every per-node pass of evaluate() shards over `exec` with static shard
-  /// boundaries; outputs are bit-identical for any thread count (see
-  /// exec/exec.hpp for the contract).
+  /// A HashPairState over `inst` / `palettes` (same lifetime rules) with
+  /// b = num_bins(inst.ell, params); outputs are bit-identical for any
+  /// thread count of `exec`.
   SeedEvalEngine(const Instance& inst, const PaletteSet& palettes,
                  std::uint64_t n_orig, const PartitionParams& params,
                  ExecContext exec = {});
@@ -59,8 +43,10 @@ class SeedEvalEngine {
   /// Convenience for SeedCostFn: the acceptance cost of Corollary 3.10.
   double cost_size(const SeedBits& seed) { return evaluate(seed).cost_size; }
 
-  std::uint64_t num_bins() const { return b_; }
-  std::size_t num_distinct_colors() const { return colors_.size(); }
+  std::uint64_t num_bins() const { return pair_.num_bins(); }
+  std::size_t num_distinct_colors() const {
+    return pair_.num_distinct_colors();
+  }
 
  private:
   const Instance& inst_;
@@ -68,26 +54,8 @@ class SeedEvalEngine {
   std::uint64_t n_orig_;
   const PartitionParams& params_;
   ExecContext exec_;
-  std::uint64_t b_;
-  unsigned c_;
-
-  std::vector<Color> colors_;  // sorted union of all palettes (built first:
-                               // h2_'s power table is over these points)
-  BatchKWiseEval h1_;          // points: original node ids, range b
-  BatchKWiseEval h2_;          // points: distinct colors, range b-1
-  // Per node: true if its palette equals the full color universe (then p'
-  // comes from the per-bin count); otherwise its colors as indices into
-  // colors_, stored flat in pal_idx_[pal_off_[v] .. pal_off_[v+1]).
-  std::vector<bool> full_palette_;
-  std::vector<std::uint32_t> pal_idx_;
-  std::vector<std::size_t> pal_off_;
-
-  // Per-evaluation scratch. raw_bin / deg_in_bin are only recomputed when an
-  // h1 coefficient actually moved, cbin_/colors_in_bin_ when h2 did.
-  std::vector<std::uint32_t> cbin_;           // per distinct color: bin 1..b-1
-  std::vector<std::uint64_t> colors_in_bin_;  // per color bin: |h2^-1(bin)|
+  HashPairState pair_;
   ClassifyScratch scratch_;
-  bool primed_ = false;  // scratch holds a valid previous evaluation
 };
 
 /// Builds the two KWiseHash functions partition() derives from a seed (the

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
 
-#include "exec/thread_pool.hpp"
+#include "core/bin_recursion.hpp"
 #include "hashing/kwise.hpp"
 #include "lowspace/seed_engine.hpp"
 #include "util/check.hpp"
-#include "util/failpoint.hpp"
 #include "util/log.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -17,112 +15,39 @@
 namespace detcol {
 namespace {
 
-struct LsInstance {
-  Graph graph;
-  std::vector<NodeId> orig;
-  NodeId n() const { return graph.num_nodes(); }
-};
-
-/// Per-branch run state (two-tier model, docs/ARCHITECTURE.md): everything a
-/// recursion branch accumulates — the round ledger, the MPC cost block and
-/// the recursion counters. Branches own their state privately; join points
-/// merge children in bin-index order, so the merged values are independent
-/// of the schedule. merge_sequential is associative with a default-
-/// constructed state as identity.
-struct LsRunState {
-  RoundLedger ledger;  // the algorithm's round schedule (result_.ledger)
-  MpcCosts mpc;        // MPC primitive costs + residency peaks
-  unsigned depth_reached = 0;
-  std::uint64_t num_partitions = 0;
-  std::uint64_t num_mis_calls = 0;
-  std::uint64_t total_mis_phases = 0;
-  std::uint64_t seed_evaluations = 0;
-  std::uint64_t diverted_violators = 0;
-
-  void fold_scalars(const LsRunState& child) {
-    depth_reached = std::max(depth_reached, child.depth_reached);
-    num_partitions += child.num_partitions;
-    num_mis_calls += child.num_mis_calls;
-    total_mis_phases += child.total_mis_phases;
-    seed_evaluations += child.seed_evaluations;
-    diverted_violators += child.diverted_violators;
-  }
-
-  /// Child ran after this state's charges (model time): ledgers add.
-  void merge_sequential(LsRunState&& child) {
-    ledger.merge_sequential(child.ledger);
-    mpc.merge(child.mpc);
-    fold_scalars(child);
-  }
-
-  /// Children ran simultaneously in the model: rounds advance by the
-  /// critical path, everything else folds in bin-index order.
-  void merge_group(std::vector<LsRunState>&& children) {
-    std::vector<RoundLedger> ledgers;
-    std::vector<MpcCosts> costs;
-    ledgers.reserve(children.size());
-    costs.reserve(children.size());
-    for (LsRunState& c : children) {
-      ledgers.push_back(std::move(c.ledger));
-      costs.push_back(std::move(c.mpc));
-    }
-    ledger.merge_parallel(ledgers);
-    mpc.merge_parallel(costs);
-    for (const LsRunState& c : children) fold_scalars(c);
-  }
-};
-
-// Concurrency discipline (mirrors core/color_reduce.cpp's driver): the
-// sibling color bins G1..G_{b-1} of one LowSpacePartition run as pool tasks.
-// Two branches running concurrently belong to distinct bins of a common
-// ancestor partition, so their node sets are disjoint (every coloring entry
-// and palette row has one writer) and their palettes were restricted to
-// disjoint h2 color classes *before* the group was spawned — a color
-// committed by a concurrent branch is never present in (and never removable
-// from) a palette this branch reads, so whether a cross-branch color read
-// observes it cannot change any output. Cross-branch color accesses go
-// through relaxed atomics purely to make them well-defined; everything else
-// lives in the branch-private LsRunState (costs charged through the
-// immutable MpcModel) and merges at the fork/join boundaries in bin-index
-// order. No mutexes, no atomic counters. Net effect: colorings, ledgers,
-// cost blocks and every counter are bit-identical for any thread count.
-class LsDriver {
+/// LowSpaceColorReduce on the shared skeleton (core/bin_recursion.hpp):
+/// low-degree nodes go to G0 up front, the split comes from a
+/// LowSpaceSeedEngine search, leaves and G0 are colored through the MIS
+/// reduction after a palette update, and every charge goes through the
+/// immutable MpcModel.
+class LowSpacePipeline final : public BinRecursion {
  public:
-  LsDriver(const Graph& g, const PaletteSet& palettes,
-           const LowSpaceParams& params, std::uint64_t salt)
-      : g_(g),
-        pal_(palettes),
+  LowSpacePipeline(const Graph& g, const PaletteSet& palettes,
+                   const LowSpaceParams& params, std::uint64_t salt)
+      : BinRecursion(g, palettes, params.exec, "lowspace",
+                     "lowspace.recurse"),
         p_(params),
         salt_(salt),
-        result_(g.num_nodes()),
-        mpc_model_(local_space(), total_space()) {
-    // The MIS sub-searches shard over the driver's pool and share the
-    // driver's power-table source.
+        model_(local_space(), total_space()) {
+    // The MIS sub-searches shard over the run's pool and share its
+    // power-table source.
     p_.mis.exec = p_.exec;
     p_.mis.tables = p_.tables;
   }
 
   LowSpaceResult run() {
-    for (NodeId v = 0; v < g_.num_nodes(); ++v) {
-      DC_CHECK(pal_.palette_size(v) > g_.degree(v),
-               "(deg+1)-list precondition violated at node ", v);
-    }
-    LsInstance root;
-    root.orig.resize(g_.num_nodes());
-    std::iota(root.orig.begin(), root.orig.end(), NodeId{0});
-    root.graph = g_;
-    LsRunState st = recurse(root, 0, salt_);
-    result_.ledger = std::move(st.ledger);
-    result_.peak_local_words = st.mpc.peak_local_words;
-    result_.peak_total_words = st.mpc.peak_total_words;
-    result_.depth_reached = st.depth_reached;
-    result_.num_partitions = st.num_partitions;
-    result_.num_mis_calls = st.num_mis_calls;
-    result_.total_mis_phases = st.total_mis_phases;
-    result_.seed_evaluations = st.seed_evaluations;
-    result_.diverted_violators = st.diverted_violators;
-    result_.mpc = std::move(st.mpc);
-    return std::move(result_);
+    RunState st = run_root(0.0, salt_, nullptr, false);
+    LowSpaceResult result(g_.num_nodes());
+    result.coloring = std::move(coloring_);
+    result.ledger = std::move(st.ledger);
+    result.depth_reached = st.max_depth;
+    result.num_partitions = st.num_partitions;
+    result.num_mis_calls = st.num_mis_calls;
+    result.total_mis_phases = st.total_mis_phases;
+    result.seed_evaluations = st.seed_evaluations;
+    result.diverted_violators = st.diverted_violators;
+    result.mpc = std::move(st.costs);
+    return result;
   }
 
  private:
@@ -146,69 +71,15 @@ class LsDriver {
 
   std::uint64_t total_space() const {
     const double n = static_cast<double>(std::max<NodeId>(g_.num_nodes(), 2));
-    const std::uint64_t input =
-        g_.size_words() + pal_.total_size();
+    const std::uint64_t input = g_.size_words() + pal_.total_size();
     const auto extra = static_cast<std::uint64_t>(
         16.0 * std::pow(n, 1.0 + 22.0 * p_.delta));
     return 4 * input + extra;
   }
 
-  /// Drop colors used by colored original-graph neighbors. The routed word
-  /// count is the number of removals that actually changed a palette — a
-  /// schedule-independent quantity (class comment: a concurrently committed
-  /// color is never present in this branch's palettes).
-  void update_palettes(std::span<const NodeId> nodes, LsRunState& st) {
-    std::uint64_t touched = 0;
-    for (const NodeId v : nodes) {
-      for (const NodeId u : g_.neighbors(v)) {
-        const Color cu = std::atomic_ref<Color>(result_.coloring.color[u])
-                             .load(std::memory_order_relaxed);
-        if (cu == Coloring::kUncolored) continue;
-        if (pal_.remove_color(v, cu)) ++touched;
-      }
-    }
-    if (touched > 0) {
-      mpc_model_.route(touched,
-                       std::min(touched, mpc_model_.local_space()),
-                       "palette-update", st.mpc);
-    }
-  }
-
-  /// Color an all-low-degree instance through the MIS reduction. The MIS
-  /// call carries the driver's model, so the reduction graph it builds is
-  /// contract-checked and charged into its own cost block exactly once —
-  /// merged here into the branch state.
-  void color_via_mis(const LsInstance& inst, std::uint64_t salt,
-                     LsRunState& st) {
-    if (inst.n() == 0) return;
-    std::vector<std::vector<Color>> pals(inst.n());
-    for (NodeId v = 0; v < inst.n(); ++v) {
-      const auto span = pal_.palette(inst.orig[v]);
-      pals[v].assign(span.begin(), span.end());
-    }
-    MisColorResult mis =
-        mis_list_color(inst.graph, pals, p_.mis, salt, &mpc_model_);
-    for (NodeId v = 0; v < inst.n(); ++v) {
-      DC_CHECK(mis.color[v] != Coloring::kUncolored, "MIS left a node");
-      std::atomic_ref<Color>(result_.coloring.color[inst.orig[v]])
-          .store(mis.color[v], std::memory_order_relaxed);
-    }
-    st.num_mis_calls += 1;
-    st.total_mis_phases += mis.phases;
-    st.seed_evaluations += mis.seed_evaluations;
-    st.ledger.merge_sequential(mis.ledger);
-    st.mpc.merge(mis.mpc);
-  }
-
-  LsRunState recurse(const LsInstance& inst, unsigned depth,
-                     std::uint64_t salt) {
-    // Recursion entry = safe point: budget poll + fault-injection site.
-    p_.exec.check_deadline("lowspace");
-    DC_FAILPOINT("lowspace.recurse");
-    LsRunState st;
-    st.depth_reached = depth;
-    if (inst.n() == 0) return st;
-
+  std::optional<BinSplit> split_or_solve(const Instance& inst, unsigned depth,
+                                         std::uint64_t salt, RunState& st,
+                                         CallStats*, BranchScratch&) override {
     const std::uint64_t low_deg = low_deg_threshold();
     std::vector<NodeId> low_local, high_local;
     for (NodeId v = 0; v < inst.n(); ++v) {
@@ -220,16 +91,15 @@ class LsDriver {
       if (!high_local.empty()) {
         DC_LOG_WARN << "low-space recursion depth cap hit at depth " << depth;
       }
-      update_palettes(inst.orig, st);
-      color_via_mis(inst, sub_seed(salt, 7), st);
-      return st;
+      color_locally(inst, sub_seed(salt, 7), st);
+      return std::nullopt;
     }
 
     // --- LowSpacePartition (Algorithm 4). ---
     const std::uint64_t b = bins();
     const unsigned c = p_.independence;
     const unsigned bits = 2 * KWiseHash::seed_bits(c);
-    LsInstance high = make_child(inst, high_local);
+    const Instance high = make_child(inst, high_local, inst.ell);
 
     // Batched incremental violator counts (lowspace/seed_engine.hpp): power
     // tables amortized over the whole search, per-node passes sharded over
@@ -240,97 +110,80 @@ class LsDriver {
     const SeedSelectResult sel =
         select_seed(bits, cost, 0.0, p_.seed, sub_seed(salt, 1));
     st.seed_evaluations += sel.evaluations;
-    st.num_partitions += 1;
     // Seed schedule: per chunk one concurrent prefix-sum family (Lemma 2.1).
-    mpc_model_.prefix_sum(high.n(), "seed-selection", st.mpc,
-                          ceil_div(bits, p_.seed.chunk_bits));
+    model_.prefix_sum(high.n(), "seed-selection", st.costs,
+                      ceil_div(bits, p_.seed.chunk_bits));
     st.ledger.charge("seed-selection", sel.rounds_charged, sel.words_charged);
 
     // One evaluation of the selected seed (usually already cached from the
     // search) yields the violator count, the per-node bins *and* the
-    // Lemma 4.5 verdicts — the assign loop below reuses them instead of
-    // recomputing d'/p' from scratch.
+    // Lemma 4.5 verdicts — the split reuses them instead of recomputing
+    // d'/p' from scratch.
     const std::uint64_t bad = engine.violations(sel.seed);
-    const std::span<const std::uint32_t> bin = engine.bins();
-    const std::span<const char> good = engine.good();
     if (bad > 0) {
       DC_LOG_DEBUG << "low-space partition diverts " << bad
                    << " violator(s) to G0";
       st.diverted_violators += bad;
     }
+    model_.sort(inst.graph.size_words(), "partition-route", st.costs);
 
-    // Assign: violators join the low-degree set G0.
-    std::vector<std::vector<NodeId>> bin_local(b);
-    std::vector<NodeId> g0_local = low_local;
+    // Violators join the low-degree nodes in G0.
+    BinSplit split{b, KWiseHash(sel.seed.word_range(c, c), b - 1), 0.0,
+                   std::vector<std::uint32_t>(high.n()), std::move(high_local),
+                   std::move(low_local)};
+    const std::span<const std::uint32_t> bin = engine.bins();
+    const std::span<const char> good = engine.good();
     for (NodeId v = 0; v < high.n(); ++v) {
-      if (good[v] != 0) {
-        bin_local[bin[v] - 1].push_back(high_local[v]);
-      } else {
-        g0_local.push_back(high_local[v]);
-      }
+      split.bin_of[v] = good[v] != 0 ? bin[v] : 0;
     }
-    mpc_model_.sort(inst.graph.size_words(), "partition-route", st.mpc);
-
-    // Restrict palettes of color bins. This happens *before* the sibling
-    // group is spawned: it is what makes the group's palettes pairwise
-    // disjoint, and with them every cross-branch interaction harmless.
-    const KWiseHash h2(sel.seed.word_range(c, c), b - 1);
-    for (std::uint64_t i = 0; i + 1 < b; ++i) {
-      for (const NodeId l : bin_local[i]) {
-        const NodeId v = inst.orig[l];
-        pal_.restrict(v, [&](Color col) { return h2(col) + 1 == i + 1; });
-      }
-    }
-
-    // Recurse on color bins in parallel (disjoint palettes): dispatched as
-    // pool tasks when an ExecContext is configured, inline otherwise.
-    // TaskGroup::fold joins the branch states in bin-index order either
-    // way, so both paths produce identical merged results.
-    const std::uint64_t groups = b - 1;
-    const bool par = p_.exec.parallel() && groups > 1;
-    std::vector<LsRunState> children;
-    children.reserve(groups);
-    TaskGroup::fold(
-        par ? p_.exec.pool() : nullptr, groups,
-        [&](std::size_t i) {
-          LsInstance child = make_child(inst, bin_local[i]);
-          return recurse(child, depth + 1, sub_seed(salt, 100 + i));
-        },
-        [&](std::size_t, LsRunState&& rs) {
-          children.push_back(std::move(rs));
-        });
-    st.merge_group(std::move(children));
-
-    // Last bin: update palettes, recurse. Runs strictly after the group
-    // join — exactly the model's schedule, where G_b's palette update sees
-    // every color the parallel phase committed.
-    LsInstance last = make_child(inst, bin_local[b - 1]);
-    update_palettes(last.orig, st);
-    st.merge_sequential(recurse(last, depth + 1, sub_seed(salt, 999)));
-
-    // G0: update palettes, color via the MIS reduction.
-    LsInstance g0 = make_child(inst, g0_local);
-    update_palettes(g0.orig, st);
-    color_via_mis(g0, sub_seed(salt, 1234), st);
-    return st;
+    return split;
   }
 
-  LsInstance make_child(const LsInstance& inst,
-                        std::span<const NodeId> local_nodes) const {
-    LsInstance child;
-    child.graph = induced_subgraph(inst.graph, local_nodes);
-    child.orig.reserve(local_nodes.size());
-    for (const NodeId l : local_nodes) child.orig.push_back(inst.orig[l]);
-    return child;
+  void solve_g0(const Instance& g0, std::uint64_t salt, RunState& st,
+                BranchScratch&) override {
+    color_locally(g0, sub_seed(salt, 1234), st);
   }
 
-  // Immutable instance state (after the ctor): shared read-only everywhere.
-  const Graph& g_;
-  PaletteSet pal_;  // per-node rows, one writer each (class comment)
+  std::uint64_t bin_salt(std::uint64_t salt, std::uint64_t i,
+                         std::uint64_t b) const override {
+    return sub_seed(salt, i + 1 < b ? 100 + i : 999);
+  }
+
+  void charge_palette_update(std::size_t, std::uint64_t touched,
+                             RunState& st) const override {
+    if (touched == 0) return;
+    model_.route(touched, std::min(touched, model_.local_space()),
+                 "palette-update", st.costs);
+  }
+
+  /// Update the palettes of `inst`, then color it through the MIS
+  /// reduction. The MIS call carries the run's model, so the reduction
+  /// graph it builds is contract-checked and charged into its own cost
+  /// block exactly once — merged here into the branch state.
+  void color_locally(const Instance& inst, std::uint64_t salt, RunState& st) {
+    update_palettes(inst.orig, st);
+    std::vector<std::vector<Color>> pals(inst.n());
+    for (NodeId v = 0; v < inst.n(); ++v) {
+      const auto span = pal_.palette(inst.orig[v]);
+      pals[v].assign(span.begin(), span.end());
+    }
+    MisColorResult mis =
+        mis_list_color(inst.graph, pals, p_.mis, salt, &model_);
+    for (NodeId v = 0; v < inst.n(); ++v) {
+      DC_CHECK(mis.color[v] != Coloring::kUncolored, "MIS left a node");
+      std::atomic_ref<Color>(coloring_.color[inst.orig[v]])
+          .store(mis.color[v], std::memory_order_relaxed);
+    }
+    st.num_mis_calls += 1;
+    st.total_mis_phases += mis.phases;
+    st.seed_evaluations += mis.seed_evaluations;
+    st.ledger.merge_sequential(mis.ledger);
+    st.costs.merge(mis.mpc);
+  }
+
   LowSpaceParams p_;
-  std::uint64_t salt_;
-  LowSpaceResult result_;  // coloring entries: one writer each
-  const MpcModel mpc_model_;
+  const std::uint64_t salt_;
+  const MpcModel model_;
 };
 
 }  // namespace
@@ -338,8 +191,7 @@ class LsDriver {
 LowSpaceResult low_space_color(const Graph& g, const PaletteSet& palettes,
                                const LowSpaceParams& params,
                                std::uint64_t salt) {
-  LsDriver driver(g, palettes, params, salt);
-  return driver.run();
+  return LowSpacePipeline(g, palettes, params, salt).run();
 }
 
 }  // namespace detcol

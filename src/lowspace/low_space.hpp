@@ -8,6 +8,10 @@
 // Lemma 4.5 guarantees (d' < 2d/b + slack, and d' < p' on color bins);
 // nodes violating them under the chosen seed are diverted to G0 as well,
 // which preserves correctness unconditionally (see DESIGN.md §2).
+//
+// The recursion is the skeleton shared with ColorReduce
+// (core/bin_recursion.hpp); this pipeline supplies the low/high split, the
+// LowSpaceSeedEngine search, the MIS local solves and the MpcModel charges.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +71,6 @@ struct LowSpaceResult {
   std::uint64_t total_mis_phases = 0;
   std::uint64_t seed_evaluations = 0;
   std::uint64_t diverted_violators = 0;  // good-by-seed but p'<=d' guards
-  /// Legacy views of mpc.peak_local_words / mpc.peak_total_words.
-  std::uint64_t peak_local_words = 0;
-  std::uint64_t peak_total_words = 0;
 
   explicit LowSpaceResult(NodeId n) : coloring(n) {}
 };

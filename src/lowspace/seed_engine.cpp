@@ -4,23 +4,8 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/check.hpp"
-
 namespace detcol {
 namespace {
-
-/// Sorted union of the palettes of `orig`'s nodes.
-std::vector<Color> color_universe(std::span<const NodeId> orig,
-                                  const PaletteSet& palettes) {
-  std::vector<Color> colors;
-  for (const NodeId v : orig) {
-    const auto p = palettes.palette(v);
-    colors.insert(colors.end(), p.begin(), p.end());
-  }
-  std::sort(colors.begin(), colors.end());
-  colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-  return colors;
-}
 
 std::vector<std::uint64_t> iota_points(std::uint64_t count) {
   std::vector<std::uint64_t> points(count);
@@ -37,116 +22,44 @@ LowSpaceSeedEngine::LowSpaceSeedEngine(const Graph& g,
                                        unsigned independence, double slack_exp,
                                        ExecContext exec,
                                        PowerTableProvider* tables)
-    : g_(g),
-      b_(num_bins),
-      c_(independence),
-      colors_(color_universe(orig, palettes)),
-      h1_(acquire_power_table(
-              tables,
-              std::vector<std::uint64_t>(orig.begin(), orig.end()), c_),
-          b_),
-      h2_(acquire_power_table(tables, colors_, c_), b_ - 1),
+    : pair_(g, orig, palettes, num_bins, independence, exec, tables),
       exec_(exec) {
-  DC_CHECK(b_ >= 2, "low-space partition needs at least 2 bins");
-  DC_CHECK(orig.size() == g.num_nodes(), "orig map size mismatch");
-
   const NodeId n = g.num_nodes();
   dev_target_.resize(n);
   slack_.resize(n);
-  full_palette_.assign(n, false);
-  pal_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::size_t partial_total = 0;
   for (NodeId v = 0; v < n; ++v) {
     const double d = static_cast<double>(g.degree(v));
-    dev_target_[v] = d / static_cast<double>(b_);
+    dev_target_[v] = d / static_cast<double>(num_bins);
     slack_[v] = std::pow(std::max(d, 2.0), slack_exp);
-    // Palettes are sorted and duplicate-free (PaletteSet invariant), so a
-    // palette equals the universe iff the sizes match.
-    const std::size_t sz = palettes.palette_size(orig[v]);
-    full_palette_[v] = sz == colors_.size();
-    if (!full_palette_[v]) partial_total += sz;
-    pal_off_[v + 1] = partial_total;
   }
-  pal_idx_.reserve(partial_total);
-  for (NodeId v = 0; v < n; ++v) {
-    if (full_palette_[v]) continue;
-    auto it = colors_.begin();
-    for (const Color col : palettes.palette(orig[v])) {
-      it = std::lower_bound(it, colors_.end(), col);
-      DC_ASSERT(it != colors_.end() && *it == col);
-      pal_idx_.push_back(static_cast<std::uint32_t>(it - colors_.begin()));
-    }
-  }
-  bin_.assign(n, 0);
-  dprime_.assign(n, 0);
-  cbin_.assign(colors_.size(), 0);
-  colors_in_bin_.assign(b_ - 1, 0);
   good_.assign(n, 0);
 }
 
 std::uint64_t LowSpaceSeedEngine::violations(const SeedBits& seed) {
-  // Incremental coefficient load: an MCE chunk inside the h2 half leaves h1
-  // untouched and skips the O(m) d'(v) pass entirely, and vice versa.
-  const bool h1_changed = h1_.load(seed.word_range(0, c_), exec_);
-  const bool h2_changed = h2_.load(seed.word_range(c_, c_), exec_);
-  if (primed_ && !h1_changed && !h2_changed) return cached_bad_;
-
-  const NodeId n = g_.num_nodes();
-  if (h1_changed || !primed_) {
-    h1_.bins_into(bin_, /*offset=*/1, exec_);
-    // d'(v) needs every neighbor's bin, so it runs as a second pass after
-    // the bin fill's barrier.
-    parallel_for_shards(exec_, n, [&](std::size_t, std::size_t begin,
-                                      std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v) {
-        std::uint64_t d = 0;
-        const std::uint32_t mine = bin_[v];
-        for (const NodeId u : g_.neighbors(static_cast<NodeId>(v))) {
-          if (bin_[u] == mine) ++d;
-        }
-        dprime_[v] = d;
-      }
-    });
-  }
-
-  if (h2_changed || !primed_) {
-    h2_.bins_into(cbin_, /*offset=*/1, exec_);  // 1..b-1
-    colors_in_bin_.assign(b_ - 1, 0);
-    for (std::size_t k = 0; k < cbin_.size(); ++k) {
-      ++colors_in_bin_[cbin_[k] - 1];
-    }
-  }
+  if (!pair_.load(seed).any()) return cached_bad_;
 
   // Verdict pass: the exact Lemma 4.5 test of the naive implementation (the
   // float ops run on the precomputed per-node doubles, so they associate
-  // identically), with p'(v) memoized per distinct color and read in O(1)
-  // for full-universe palettes. Shard-ordered integer sum.
+  // identically). Shard-ordered integer sum.
+  const std::uint64_t b = pair_.num_bins();
+  const std::span<const std::uint32_t> bin = pair_.bins();
+  const std::span<const std::uint32_t> deg_in_bin = pair_.deg_in_bin();
   cached_bad_ = parallel_reduce_shards(
-      exec_, n, std::uint64_t{0},
+      exec_, good_.size(), std::uint64_t{0},
       [&](std::size_t, std::size_t begin, std::size_t end) {
         std::uint64_t bad = 0;
-        for (std::size_t v = begin; v < end; ++v) {
-          const std::uint64_t dprime = dprime_[v];
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId v = static_cast<NodeId>(i);
+          const std::uint64_t dprime = deg_in_bin[v];
           bool ok = std::abs(static_cast<double>(dprime) - dev_target_[v]) <=
                     slack_[v];
-          if (ok && bin_[v] != b_) {
-            std::uint64_t pprime = 0;
-            if (full_palette_[v]) {
-              pprime = colors_in_bin_[bin_[v] - 1];
-            } else {
-              for (std::size_t k = pal_off_[v]; k < pal_off_[v + 1]; ++k) {
-                if (cbin_[pal_idx_[k]] == bin_[v]) ++pprime;
-              }
-            }
-            if (pprime <= dprime) ok = false;
-          }
+          if (ok && bin[v] != b && pair_.pal_in_bin(v) <= dprime) ok = false;
           good_[v] = ok ? 1 : 0;
           if (!ok) ++bad;
         }
         return bad;
       },
       [](std::uint64_t acc, std::uint64_t part) { return acc + part; });
-  primed_ = true;
   return cached_bad_;
 }
 

@@ -1,31 +1,12 @@
 // Batched seed-evaluation engines for the low-space MPC layer (Theorem 1.4).
 //
-// Both seed searches of the layer evaluate a fixed instance under thousands
-// of nearby candidate seeds (the enumeration orders of derand/strategies.hpp
-// mutate one candidate buffer in place), and both paid a naive full pass per
-// candidate before this engine existed:
-//
-//  * LowSpacePartition (Algorithm 4): per candidate, rebuild (h1, h2) and
-//    re-run a Horner polynomial per node and per palette color to count the
-//    Lemma 4.5 violators.
-//  * The derandomized-Luby MIS phase (Section 4.1): per candidate, rebuild h
-//    and re-evaluate the priority polynomial at every reduction vertex on
-//    every access of the phase simulation.
-//
-// LowSpaceSeedEngine and MisPhaseEngine amortize everything that does not
-// depend on the seed, exactly in the style of core/seed_eval.hpp:
-//
-//  * power tables (BatchKWiseEval) over the node ids / distinct palette
-//    colors / reduction-vertex ids, built once per search — a candidate
-//    costs one multiply-add per point per *changed* seed word;
-//  * distinct-color memoization — h2 is evaluated once per distinct color in
-//    the union of palettes; nodes whose palette is the full color universe
-//    read their p'(v) from a per-bin color count in O(1);
-//  * change tracking — an MCE chunk inside the h2 half of the seed leaves h1
-//    untouched, so the d'(v) neighbor pass (the expensive O(m) part) is
-//    skipped wholesale, and vice versa;
-//  * scratch reuse — bins, d'/verdict buffers and color-bin counts live in
-//    the engine and are reused across evaluations.
+// Both seed searches of the layer score a fixed instance under thousands of
+// nearby candidate seeds: LowSpacePartition (Algorithm 4) counts Lemma 4.5
+// violators, the derandomized-Luby MIS phase (Section 4.1) evaluates a
+// priority polynomial at every reduction vertex. LowSpaceSeedEngine holds
+// the HashPairState that core/seed_eval.hpp's engine also uses
+// (core/hash_pair.hpp) and adds the Lemma 4.5 verdict; MisPhaseEngine keeps
+// the priorities current over a power table of the reduction-vertex ids.
 //
 // Every per-node pass shards over the engine's ExecContext with static shard
 // boundaries (exec/exec.hpp), so violation counts, verdicts and priorities
@@ -38,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "core/hash_pair.hpp"
 #include "derand/seedbits.hpp"
 #include "exec/exec.hpp"
 #include "graph/graph.hpp"
@@ -49,13 +31,8 @@ namespace detcol {
 
 class LowSpaceSeedEngine {
  public:
-  /// Precomputes power tables and the distinct-color index for the local
-  /// graph `g` with original ids `orig` and the palettes of the *original*
-  /// graph. All three must outlive the engine and stay unmodified while it
-  /// is in use (the driver holds palettes fixed for the whole seed search).
-  /// Seed layout: `independence` words for h1 (range `num_bins`), then
-  /// `independence` words for h2 (range `num_bins` - 1). `tables`, when
-  /// non-null, supplies the shared power tables (see batch_eval.hpp).
+  /// Arguments, lifetimes and seed layout as for HashPairState; `slack_exp`
+  /// is the Lemma 4.5 degree-slack exponent.
   LowSpaceSeedEngine(const Graph& g, std::span<const NodeId> orig,
                      const PaletteSet& palettes, std::uint64_t num_bins,
                      unsigned independence, double slack_exp,
@@ -74,42 +51,27 @@ class LowSpaceSeedEngine {
 
   /// Per-node h1 bins (1..b) of the last violations() call. Valid until the
   /// next call.
-  std::span<const std::uint32_t> bins() const { return bin_; }
+  std::span<const std::uint32_t> bins() const { return pair_.bins(); }
 
   /// Per-node Lemma 4.5 verdicts of the last violations() call: non-zero
   /// means the node keeps its color bin, zero diverts it to G0.
   std::span<const char> good() const { return good_; }
 
-  std::uint64_t num_bins() const { return b_; }
-  std::size_t num_distinct_colors() const { return colors_.size(); }
+  std::uint64_t num_bins() const { return pair_.num_bins(); }
+  std::size_t num_distinct_colors() const {
+    return pair_.num_distinct_colors();
+  }
 
  private:
-  const Graph& g_;
-  std::uint64_t b_;
-  unsigned c_;
-
-  std::vector<Color> colors_;  // sorted union of the nodes' palettes
-  BatchKWiseEval h1_;          // points: original node ids, range b
-  BatchKWiseEval h2_;          // points: distinct colors, range b-1
+  HashPairState pair_;
+  ExecContext exec_;
   // Per node: its degree target d/b and slack (seed-independent doubles of
   // the Lemma 4.5 test, precomputed so every evaluation runs the identical
-  // float ops); full-universe flag and palette indices as in SeedEvalEngine.
+  // float ops).
   std::vector<double> dev_target_;
   std::vector<double> slack_;
-  std::vector<bool> full_palette_;
-  std::vector<std::uint32_t> pal_idx_;
-  std::vector<std::size_t> pal_off_;
-
-  // Per-evaluation scratch. bin_/dprime_ are only recomputed when an h1
-  // coefficient actually moved, cbin_/colors_in_bin_ when h2 did.
-  std::vector<std::uint32_t> bin_;            // per node: h1 bin 1..b
-  std::vector<std::uint64_t> dprime_;         // per node: same-bin degree
-  std::vector<std::uint32_t> cbin_;           // per distinct color: 1..b-1
-  std::vector<std::uint64_t> colors_in_bin_;  // per color bin: |h2^-1(bin)|
-  std::vector<char> good_;                    // per node verdict
+  std::vector<char> good_;  // per node verdict of the last violations()
   std::uint64_t cached_bad_ = 0;
-  bool primed_ = false;  // scratch holds a valid previous evaluation
-  ExecContext exec_;
 };
 
 /// Reference oracle: the Lemma 4.5 violator count computed the naive way —

@@ -74,7 +74,7 @@ TEST(LowSpace, SpaceAccountingPopulated) {
   const PaletteSet pal = PaletteSet::delta_plus_one(g);
   const auto r = low_space_color(g, pal);
   expect_valid(g, pal, r);
-  EXPECT_GT(r.peak_total_words, 0u);
+  EXPECT_GT(r.mpc.peak_total_words, 0u);
 }
 
 TEST(LowSpace, RejectsDeficientPalettes) {
@@ -106,7 +106,7 @@ TEST_P(LowSpaceSweep, VerifiedColoringAcrossFamiliesAndDeltas) {
   ASSERT_TRUE(v.ok) << "family=" << family << " delta=" << delta << ": "
                     << v.issue;
   // Space accounting must stay within the declared envelope.
-  EXPECT_LE(r.peak_total_words,
+  EXPECT_LE(r.mpc.peak_total_words,
             4 * (g.size_words() + pal.total_size()) +
                 static_cast<std::uint64_t>(
                     16.0 * std::pow(static_cast<double>(g.num_nodes()),

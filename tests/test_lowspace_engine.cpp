@@ -308,8 +308,8 @@ void expect_matches_golden(const LsGolden& cs, const LowSpaceResult& r) {
   EXPECT_EQ(r.total_mis_phases, cs.want_mis_phases) << cs.name;
   EXPECT_EQ(r.diverted_violators, cs.want_violators) << cs.name;
   EXPECT_EQ(r.depth_reached, cs.want_depth) << cs.name;
-  EXPECT_EQ(r.peak_local_words, cs.want_peak_local) << cs.name;
-  EXPECT_EQ(r.peak_total_words, cs.want_peak_total) << cs.name;
+  EXPECT_EQ(r.mpc.peak_local_words, cs.want_peak_local) << cs.name;
+  EXPECT_EQ(r.mpc.peak_total_words, cs.want_peak_total) << cs.name;
 }
 
 TEST(LowSpaceGolden, EndToEndResultsUnchangedFromPreEngine) {
@@ -410,8 +410,8 @@ TEST(ParallelInvariance, LowSpaceBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(r.total_mis_phases, base.total_mis_phases);
       EXPECT_EQ(r.diverted_violators, base.diverted_violators);
       EXPECT_EQ(r.depth_reached, base.depth_reached);
-      EXPECT_EQ(r.peak_local_words, base.peak_local_words);
-      EXPECT_EQ(r.peak_total_words, base.peak_total_words);
+      EXPECT_EQ(r.mpc.peak_local_words, base.mpc.peak_local_words);
+      EXPECT_EQ(r.mpc.peak_total_words, base.mpc.peak_total_words);
     }
   }
 }
