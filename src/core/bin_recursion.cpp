@@ -67,8 +67,7 @@ RunState BinRecursion::run_root(double root_ell, std::uint64_t salt,
   std::iota(root.orig.begin(), root.orig.end(), NodeId{0});
   root.graph = g_;
   root.ell = root_ell;
-  BranchScratch scratch;
-  return recurse(root, 0, salt, root_stats, scratch);
+  return recurse(root, 0, salt, root_stats);
 }
 
 void BinRecursion::update_palettes(std::span<const NodeId> nodes,
@@ -102,8 +101,7 @@ Instance BinRecursion::make_child(const Instance& inst,
 }
 
 RunState BinRecursion::recurse(const Instance& inst, unsigned depth,
-                               std::uint64_t salt, CallStats* stats,
-                               BranchScratch& scratch) {
+                               std::uint64_t salt, CallStats* stats) {
   // Coarse, safe point for the cooperative budget and fault-injection
   // checks: no partial state exists yet at a recursion entry, so throwing
   // here unwinds cleanly through the fork/join joins.
@@ -122,8 +120,7 @@ RunState BinRecursion::recurse(const Instance& inst, unsigned depth,
   }
   if (inst.n() == 0) return st;
 
-  std::optional<BinSplit> split =
-      split_or_solve(inst, depth, salt, st, stats, scratch);
+  std::optional<BinSplit> split = split_or_solve(inst, depth, salt, st, stats);
   if (!split) {
     st.add_depth_seconds(depth, timer.seconds());
     return st;
@@ -173,12 +170,10 @@ RunState BinRecursion::recurse(const Instance& inst, unsigned depth,
   own_seconds += timer.seconds();
   TaskGroup::fold(
       par ? exec_.pool() : nullptr, groups,
-      [&](std::size_t i) -> RunState {
-        BranchScratch task_scratch;
+      [&](std::size_t i) {
         return recurse(make_child(inst, bin_local[i], split->ell_next),
                        depth + 1, bin_salt(salt, i, b),
-                       record ? &child_stats[i] : nullptr,
-                       par ? task_scratch : scratch);
+                       record ? &child_stats[i] : nullptr);
       },
       [&](std::size_t, RunState&& rs) { children.push_back(std::move(rs)); });
   st.merge_group(std::move(children));
@@ -193,13 +188,13 @@ RunState BinRecursion::recurse(const Instance& inst, unsigned depth,
   own_seconds += timer.seconds();
   CallStats last_stats;
   st.merge_sequential(recurse(last, depth + 1, bin_salt(salt, b - 1, b),
-                              record ? &last_stats : nullptr, scratch));
+                              record ? &last_stats : nullptr));
   timer.reset();
   if (record) stats->children.push_back(std::move(last_stats));
 
   // G0: solved locally once both bin phases retired.
   if (!g0_local.empty()) {
-    solve_g0(make_child(inst, g0_local, inst.ell), salt, st, scratch);
+    solve_g0(make_child(inst, g0_local, inst.ell), salt, st);
   }
 
   own_seconds += timer.seconds();

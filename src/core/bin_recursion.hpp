@@ -115,12 +115,6 @@ struct BinSplit {
 
 class BinRecursion {
  protected:
-  /// Buffers one branch reuses across its local solves; a spawned bin task
-  /// gets its own, sequential child calls inherit the parent's.
-  struct BranchScratch {
-    std::vector<NodeId> order;
-  };
-
   /// Checks the (deg+1)-list precondition p(v) > d(v). `deadline_where`
   /// names the budget polls, `failpoint` the recursion-entry site.
   BinRecursion(const Graph& g, const PaletteSet& palettes, ExecContext exec,
@@ -136,10 +130,10 @@ class BinRecursion {
   /// leaf right here and return nullopt.
   virtual std::optional<BinSplit> split_or_solve(
       const Instance& inst, unsigned depth, std::uint64_t salt, RunState& st,
-      CallStats* stats, BranchScratch& scratch) = 0;
+      CallStats* stats) = 0;
   /// Solve a split's non-empty G0 after both bin phases retired.
-  virtual void solve_g0(const Instance& g0, std::uint64_t salt, RunState& st,
-                        BranchScratch& scratch) = 0;
+  virtual void solve_g0(const Instance& g0, std::uint64_t salt,
+                        RunState& st) = 0;
   /// Salt of bin i+1 (i = b-1 is the last bin) under the parent's salt.
   virtual std::uint64_t bin_salt(std::uint64_t salt, std::uint64_t i,
                                  std::uint64_t b) const = 0;
@@ -166,7 +160,7 @@ class BinRecursion {
 
  private:
   RunState recurse(const Instance& inst, unsigned depth, std::uint64_t salt,
-                   CallStats* stats, BranchScratch& scratch);
+                   CallStats* stats);
 
   const char* deadline_where_;
   const char* failpoint_;

@@ -93,8 +93,7 @@ class ColorReducePipeline final : public BinRecursion {
  private:
   std::optional<BinSplit> split_or_solve(const Instance& inst, unsigned depth,
                                          std::uint64_t salt, RunState& st,
-                                         CallStats* stats,
-                                         BranchScratch& scratch) override {
+                                         CallStats* stats) override {
     const auto& p = cfg_.part;
     const double collect_limit =
         p.collect_factor * static_cast<double>(g_.num_nodes());
@@ -108,7 +107,7 @@ class ColorReducePipeline final : public BinRecursion {
                      << inst.n() << ", ell=" << inst.ell << ")";
       }
       if (stats != nullptr) stats->collected = true;
-      collect_and_color(inst, inst_words, st, scratch);
+      collect_and_color(inst, inst_words, st);
       return std::nullopt;
     }
 
@@ -132,9 +131,8 @@ class ColorReducePipeline final : public BinRecursion {
 
   /// G0 is collected and colored like a leaf. Greedy consults colored
   /// neighbors directly, so its palette update is implicit.
-  void solve_g0(const Instance& g0, std::uint64_t, RunState& st,
-                BranchScratch& scratch) override {
-    collect_and_color(g0, collect_words(g0, pal_, exec_), st, scratch);
+  void solve_g0(const Instance& g0, std::uint64_t, RunState& st) override {
+    collect_and_color(g0, collect_words(g0, pal_, exec_), st);
   }
 
   std::uint64_t bin_salt(std::uint64_t salt, std::uint64_t i,
@@ -153,17 +151,17 @@ class ColorReducePipeline final : public BinRecursion {
   /// greedily color it, consulting already-colored neighbors in the
   /// original graph.
   void collect_and_color(const Instance& inst, std::uint64_t words,
-                         RunState& st, BranchScratch& scratch) {
+                         RunState& st) {
     model_.collect(words, "collect-color", st.costs);
     // Color highest-degree-first within the instance.
-    scratch.order.assign(inst.orig.begin(), inst.orig.end());
-    std::sort(scratch.order.begin(), scratch.order.end(),
+    std::vector<NodeId> order(inst.orig.begin(), inst.orig.end());
+    std::sort(order.begin(), order.end(),
               [&](NodeId a, NodeId b) {
                 const auto da = g_.degree(a), db = g_.degree(b);
                 if (da != db) return da > db;
                 return a < b;
               });
-    const bool ok = greedy_color(g_, pal_, scratch.order, coloring_);
+    const bool ok = greedy_color(g_, pal_, order, coloring_);
     DC_CHECK(ok, "local greedy ran out of colors — the p(v) > d(v) "
                  "invariant was broken upstream");
     // Announce the new colors to all neighbors (one word per node).

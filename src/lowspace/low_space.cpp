@@ -79,7 +79,7 @@ class LowSpacePipeline final : public BinRecursion {
 
   std::optional<BinSplit> split_or_solve(const Instance& inst, unsigned depth,
                                          std::uint64_t salt, RunState& st,
-                                         CallStats*, BranchScratch&) override {
+                                         CallStats*) override {
     const std::uint64_t low_deg = low_deg_threshold();
     std::vector<NodeId> low_local, high_local;
     for (NodeId v = 0; v < inst.n(); ++v) {
@@ -139,8 +139,7 @@ class LowSpacePipeline final : public BinRecursion {
     return split;
   }
 
-  void solve_g0(const Instance& g0, std::uint64_t salt, RunState& st,
-                BranchScratch&) override {
+  void solve_g0(const Instance& g0, std::uint64_t salt, RunState& st) override {
     color_locally(g0, sub_seed(salt, 1234), st);
   }
 
