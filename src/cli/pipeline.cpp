@@ -14,18 +14,54 @@
 
 namespace detcol::cli {
 
+namespace {
+
+/// The one registry of pipeline names and what each accepts.
+struct PipelineTraits {
+  const char* name;
+  bool threaded;
+  bool stats;
+  bool seeded;
+};
+
+constexpr PipelineTraits kPipelines[] = {
+    {"reduce", true, true, false}, {"randreduce", true, true, true},
+    {"lowspace", true, true, false}, {"mis", true, true, false},
+    {"trial", true, false, true},   {"greedy", false, false, false},
+};
+
+/// The registry entry of `algo`; an unknown name gets the empty entry.
+const PipelineTraits& traits(const std::string& algo) {
+  static constexpr PipelineTraits kUnknown{"", false, false, false};
+  for (const PipelineTraits& p : kPipelines) {
+    if (algo == p.name) return p;
+  }
+  return kUnknown;
+}
+
+}  // namespace
+
 bool pipeline_known(const std::string& algo) {
-  return algo == "reduce" || algo == "randreduce" || algo == "lowspace" ||
-         algo == "mis" || algo == "trial" || algo == "greedy";
+  return *traits(algo).name != '\0';
 }
 
 bool pipeline_threaded(const std::string& algo) {
-  return pipeline_known(algo) && algo != "greedy";
+  return traits(algo).threaded;
 }
 
-bool pipeline_has_stats(const std::string& algo) {
-  return algo == "reduce" || algo == "randreduce" || algo == "lowspace" ||
-         algo == "mis";
+bool pipeline_has_stats(const std::string& algo) { return traits(algo).stats; }
+
+bool pipeline_seeded(const std::string& algo) { return traits(algo).seeded; }
+
+std::string pipeline_names(bool (*pred)(const std::string&)) {
+  std::string out;
+  std::string last;
+  for (const PipelineTraits& p : kPipelines) {
+    if (!pred(p.name)) continue;
+    if (!last.empty()) out += (out.empty() ? "" : ", ") + last;
+    last = p.name;
+  }
+  return out.empty() ? last : out + " or " + last;
 }
 
 PipelineRun run_pipeline(const std::string& algo, const Graph& g,

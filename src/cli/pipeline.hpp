@@ -34,6 +34,14 @@ bool pipeline_threaded(const std::string& algo);
 /// True for pipelines that can render a stats JSON document.
 bool pipeline_has_stats(const std::string& algo);
 
+/// True for the randomized baselines, which take `seed` as their algorithm
+/// seed (trial, randreduce).
+bool pipeline_seeded(const std::string& algo);
+
+/// The registered names satisfying `pred`, in registry order, for
+/// diagnostics: "reduce, randreduce, lowspace or mis".
+std::string pipeline_names(bool (*pred)(const std::string&) = pipeline_known);
+
 struct PipelineRun {
   Coloring coloring{0};
   std::uint64_t rounds = 0;  // model rounds where the pipeline reports them

@@ -56,6 +56,31 @@ Graph realize_scalable(const ScalableGenSpec& gen_spec, const ArgParser& args,
   return g;
 }
 
+/// Which graph flags each generator actually consumes. A flag from the graph
+/// family that the chosen source ignores is a misdirected invocation (the
+/// user probably meant a different --gen), not something to drop silently.
+void check_graph_flag_applicability(const ArgParser& args,
+                                    const std::string& kind,
+                                    std::initializer_list<const char*> used,
+                                    bool allow_algo_seed) {
+  for (const char* flag : kGraphFlags) {
+    if (std::string(flag) == "input" || std::string(flag) == "gen") continue;
+    // --seed is dual-role: for `color` it is also the trial/randreduce
+    // algorithm seed, so it is accepted there even when the generator is
+    // deterministic; for `gen`/`stats` a seed on ring/grid/complete is a
+    // misdirected flag like any other.
+    if (allow_algo_seed && std::string(flag) == "seed") continue;
+    if (!args.has(flag)) continue;
+    const bool applies = std::any_of(
+        used.begin(), used.end(),
+        [&](const char* u) { return std::string(u) == flag; });
+    if (!applies) {
+      usage_error("flag --" + std::string(flag) + " does not apply to " +
+                  kind);
+    }
+  }
+}
+
 }  // namespace
 
 void usage_error(const std::string& msg) { throw UsageError(msg); }
@@ -134,28 +159,6 @@ unsigned resolve_threads(const ArgParser& args) {
                 "], got " + s);
   }
   return static_cast<unsigned>(v);
-}
-
-void check_graph_flag_applicability(const ArgParser& args,
-                                    const std::string& kind,
-                                    std::initializer_list<const char*> used,
-                                    bool allow_algo_seed) {
-  for (const char* flag : kGraphFlags) {
-    if (std::string(flag) == "input" || std::string(flag) == "gen") continue;
-    // --seed is dual-role: for `color` it is also the trial/randreduce
-    // algorithm seed, so it is accepted there even when the generator is
-    // deterministic; for `gen`/`stats` a seed on ring/grid/complete is a
-    // misdirected flag like any other.
-    if (allow_algo_seed && std::string(flag) == "seed") continue;
-    if (!args.has(flag)) continue;
-    const bool applies = std::any_of(
-        used.begin(), used.end(),
-        [&](const char* u) { return std::string(u) == flag; });
-    if (!applies) {
-      usage_error("flag --" + std::string(flag) + " does not apply to " +
-                  kind);
-    }
-  }
 }
 
 std::vector<const char*> combine(std::initializer_list<const char*> a,

@@ -79,14 +79,6 @@ inline constexpr std::initializer_list<const char*> kGraphFlags = {
 inline constexpr std::initializer_list<const char*> kPaletteFlags = {
     "palette", "color-space", "palette-seed"};
 
-/// Which graph flags each generator actually consumes. A flag from the graph
-/// family that the chosen source ignores is a misdirected invocation (the
-/// user probably meant a different --gen), not something to drop silently.
-void check_graph_flag_applicability(const ArgParser& args,
-                                    const std::string& kind,
-                                    std::initializer_list<const char*> used,
-                                    bool allow_algo_seed);
-
 std::vector<const char*> combine(std::initializer_list<const char*> a,
                                  std::initializer_list<const char*> b = {},
                                  std::initializer_list<const char*> c = {});

@@ -395,6 +395,24 @@ const FieldKernel* kernel_for(SimdKind kind) {
   return &kScalarKernel;  // unreachable
 }
 
+std::atomic<const FieldKernel*> g_active{nullptr};
+
+// First-use default: $DETCOL_SIMD if set (the CLI validates it up front and
+// exits 2 on a bad value; in pure library use a bad value is a CheckError),
+// else the best kernel the host supports.
+const FieldKernel* boot_kernel() {
+  const char* env = std::getenv("DETCOL_SIMD");
+  if (env != nullptr && *env != '\0') {
+    SimdKind kind = SimdKind::kScalar;
+    std::string error;
+    DC_CHECK(parse_simd_spec(env, &kind, &error), "DETCOL_SIMD: ", error);
+    return kernel_for(kind);
+  }
+  return kernel_for(simd_auto_kind());
+}
+
+}  // namespace
+
 bool parse_simd_spec(const std::string& spec, SimdKind* kind,
                      std::string* error) {
   if (spec == "auto") {
@@ -426,24 +444,6 @@ bool parse_simd_spec(const std::string& spec, SimdKind* kind,
   *kind = want;
   return true;
 }
-
-std::atomic<const FieldKernel*> g_active{nullptr};
-
-// First-use default: $DETCOL_SIMD if set (the CLI validates it up front and
-// exits 2 on a bad value; in pure library use a bad value is a CheckError),
-// else the best kernel the host supports.
-const FieldKernel* boot_kernel() {
-  const char* env = std::getenv("DETCOL_SIMD");
-  if (env != nullptr && *env != '\0') {
-    SimdKind kind = SimdKind::kScalar;
-    std::string error;
-    DC_CHECK(parse_simd_spec(env, &kind, &error), "DETCOL_SIMD: ", error);
-    return kernel_for(kind);
-  }
-  return kernel_for(simd_auto_kind());
-}
-
-}  // namespace
 
 bool simd_available(SimdKind kind) {
   switch (kind) {

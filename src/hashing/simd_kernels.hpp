@@ -97,6 +97,12 @@ const FieldKernel& active_field_kernel();
 /// like "timing" (in-process invariance suites run under one fixed kernel).
 const char* active_simd_name();
 
+/// Resolve a spec string ("auto", "scalar", "avx2", "neon") to a kind this
+/// host can run. Returns false when it is malformed or unavailable; *error
+/// then holds a one-line diagnostic.
+bool parse_simd_spec(const std::string& spec, SimdKind* kind,
+                     std::string* error);
+
 /// Select the active kernel from a spec string: "auto" (best available),
 /// "scalar", "avx2", "neon". Returns false without changing the selection
 /// when the spec is malformed or names an ISA this host cannot run; *error

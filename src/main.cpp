@@ -9,10 +9,11 @@
 //   suite   run a {graph x pipeline x threads} matrix from a spec file
 //   serve   persistent coloring service over a Unix-domain socket
 //
-// The spec grammar (graph/palette flag strings), the coloring-file format
-// and the pipeline dispatch live in src/cli/ — shared verbatim with the
-// serving layer, which is what makes `detcol color --server=SOCK` responses
-// byte-identical to one-shot runs.
+// This file holds only flag parsing and output. The spec grammar, the
+// coloring-file format, the pipeline dispatch, the request path (one check,
+// one executor, one error taxonomy) and the suite runner live in src/cli/ —
+// shared verbatim with the serving layer, which is what makes
+// `detcol color --server=SOCK` responses byte-identical to one-shot runs.
 //
 // Typical session:
 //   detcol color --n=1000 --p=0.02 --out=run.colors
@@ -21,40 +22,29 @@
 // Served session (amortizes graph + power-table setup across requests):
 //   detcol serve --listen=/tmp/detcol.sock &
 //   detcol color --n=1000 --p=0.02 --server=/tmp/detcol.sock --out=run.colors
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <system_error>
-#include <vector>
 
 #include "cli/pipeline.hpp"
+#include "cli/request.hpp"
 #include "cli/spec.hpp"
+#include "cli/suite.hpp"
 #include "core/stats_export.hpp"
 #include "exec/exec.hpp"
-#include "graph/coloring.hpp"
 #include "graph/formats.hpp"
 #include "graph/io.hpp"
 #include "hashing/simd_kernels.hpp"
-#include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/deadline.hpp"
 #include "util/failpoint.hpp"
-#include "util/json.hpp"
-#include "util/timer.hpp"
-
-#include <thread>
 
 namespace detcol {
 namespace {
@@ -151,31 +141,19 @@ Convert:
   --to=FMT           Output format; defaults to the --out extension
                      (.edges/.txt, .col/.dimacs, .graph/.metis, .dcg).
 
-Suite:
-  --spec=FILE        Declarative scenario matrix. Directives, one per line
-                     ('#' comments): "graph NAME FLAGS..." (generator or
-                     --input flags, repeatable), "palette FLAGS...",
-                     "pipelines NAME..." (reduce, lowspace, mis, trial,
-                     greedy), "threads N...", "kernels NAME..." (field
-                     kernels to force per cell: auto, scalar, avx2, neon;
-                     "auto" resolves to the host's best at parse time and
-                     resolved duplicates collapse; default: the --simd /
-                     $DETCOL_SIMD selection), "seed S" (trial's algorithm
-                     seed), "timeout_seconds S" (per-cell wall budget;
-                     expired cells report status "timeout"), "timing off"
-                     (report wall_seconds as 0 for byte-identical reports),
-                     "server ENDPOINT" (run every cell as a request against
-                     a running `detcol serve` — the suite becomes a load
-                     generator; mutually exclusive with "kernels", and the
-                     cells record kernel "server").
-                     Runs every {graph x pipeline x threads x kernel} cell
-                     (greedy is sequential: one threads=1 cell per graph)
-                     and writes one JSON report to --out. Each cell is
-                     isolated: a failing or timed-out cell becomes a
-                     structured "error"/"timeout" entry and the rest of
-                     the matrix proceeds; an unreadable graph marks only
-                     its own cells as errors. With --out=FILE the report
-                     is checkpointed durably after every cell.
+Suite (grammar in docs/FORMATS.md "Suite spec grammar"):
+  --spec=FILE        Declarative scenario matrix, one directive per line:
+                     graph NAME FLAGS... (repeatable), palette FLAGS...,
+                     pipelines NAME... (reduce, randreduce, lowspace, mis,
+                     trial, greedy), threads N..., kernels NAME... (auto,
+                     scalar, avx2, neon), seed S (the trial and randreduce
+                     algorithm seed), timeout_seconds S, timing on|off, and
+                     server ENDPOINT (send every cell to a running `detcol
+                     serve`). Runs every {graph x pipeline x threads x
+                     kernel} cell and writes one JSON report to --out,
+                     checkpointed after every cell. A failing or timed-out
+                     cell becomes a structured "error"/"timeout" entry and
+                     the rest of the matrix proceeds.
   --resume=REPORT    Skip every cell already recorded in REPORT (a prior,
                      possibly partial, report of the same spec), splicing
                      those entries into the new report byte-for-byte.
@@ -216,63 +194,34 @@ Output (gen, color, stats):
 
 Verify:
   --coloring=FILE    Coloring file to check (or first positional argument).
-  --graph=FILE       Override: check against this edge list instead of the
-                     header's generator spec (local verify only).
+  --graph=FILE       Override: check against this graph file (any format,
+                     sniffed as for --input) instead of the header's graph
+                     spec (local verify only).
   --proper-only      Skip palette-membership checking.
 
 Exit status: 0 on success / valid coloring, 1 on failure or invalid
 coloring, 2 on usage errors.
 )";
 
-/// Strictly validated --threads/DETCOL_THREADS resolved into the exec
-/// layer's pool + context pair (exec/exec.hpp owns the lifetime rule).
-ExecHolder make_exec(const ArgParser& args) {
-  return make_exec_holder(resolve_threads(args));
-}
-
-/// Arm the fault-injection registry from --failpoints (wins) or the
-/// DETCOL_FAILPOINTS environment variable. A malformed spec is a bad
-/// invocation (exit 2), never a silent no-op.
-void init_failpoints(const ArgParser& args) {
+/// Apply a global setting from --`flag` (wins) or the `env` variable:
+/// --failpoints arms the fault-injection registry, --simd selects the field
+/// kernel. A malformed spec, or an ISA this host cannot run, is a bad
+/// invocation (exit 2) — never a silent no-op or fallback.
+void init_global(const ArgParser& args, const char* flag, const char* env,
+                 bool (*apply)(const std::string&, std::string*)) {
   std::string spec;
-  std::string src = "flag --failpoints";
-  if (args.has("failpoints")) {
-    spec = get_value_flag(args, "failpoints", "");
-  } else if (const char* env = std::getenv("DETCOL_FAILPOINTS")) {
-    src = "DETCOL_FAILPOINTS";
-    spec = env;
+  std::string src = std::string("flag --") + flag;
+  if (args.has(flag)) {
+    spec = get_value_flag(args, flag, "");
+  } else if (const char* value = std::getenv(env)) {
+    src = env;
+    spec = value;
   } else {
     return;
   }
   std::string error;
-  if (!arm_failpoints(spec, &error)) {
-    usage_error(src + ": " + error);
-  }
+  if (!apply(spec, &error)) usage_error(src + ": " + error);
 }
-
-/// Select the field kernel from --simd (wins) or the DETCOL_SIMD environment
-/// variable. A malformed name or an ISA this host cannot run is a bad
-/// invocation (exit 2) — forcing a kernel must never silently fall back.
-void init_simd(const ArgParser& args) {
-  std::string spec;
-  std::string src = "flag --simd";
-  if (args.has("simd")) {
-    spec = get_value_flag(args, "simd", "");
-  } else if (const char* env = std::getenv("DETCOL_SIMD")) {
-    src = "DETCOL_SIMD";
-    spec = env;
-  } else {
-    return;
-  }
-  std::string error;
-  if (!select_simd(spec, &error)) {
-    usage_error(src + ": " + error);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Output helpers.
-// ---------------------------------------------------------------------------
 
 /// Writes via `fn` to --out if set, else to stdout. File targets go through
 /// the atomic temp+fsync+rename writer, so an interrupted or failed run
@@ -291,11 +240,24 @@ void with_output(const ArgParser& args, Fn&& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Server-client routing: re-render the command line's graph/palette flags
-// as the raw spec strings the request carries. The server canonicalizes
-// them through the same cli::build_graph/build_palettes this process would
-// run locally.
+// Requests: a color/stats command line is one serve::Request, checked by
+// cli::check_request and then executed locally or sent to --server. The
+// graph/palette flags are re-rendered as the raw spec strings the request
+// carries; the server canonicalizes them through the same
+// cli::build_graph/build_palettes this process runs locally.
 // ---------------------------------------------------------------------------
+
+/// "--flag=value ..." for each of `flags` given on the command line.
+std::string render_flags(const ArgParser& args,
+                         std::initializer_list<const char*> flags) {
+  std::string out;
+  for (const char* flag : flags) {
+    if (!args.has(flag)) continue;
+    if (!out.empty()) out += ' ';
+    out += "--" + std::string(flag) + "=" + get_value_flag(args, flag, "");
+  }
+  return out;
+}
 
 std::string client_graph_spec(const ArgParser& args) {
   if (args.has("input")) {
@@ -304,165 +266,56 @@ std::string client_graph_spec(const ArgParser& args) {
            std::filesystem::absolute(get_value_flag(args, "input", ""))
                .string();
   }
-  std::string out;
-  for (const char* flag : kGraphFlags) {
-    if (std::string(flag) == "input" || !args.has(flag)) continue;
-    if (!out.empty()) out += ' ';
-    out += "--" + std::string(flag) + "=" + get_value_flag(args, flag, "");
-  }
-  return out;  // empty = the server-side defaults (gnp, n=1000)
+  const std::string flags = render_flags(args, kGraphFlags);
+  return flags.empty() ? "--gen=gnp" : flags;  // no flags: the defaults
 }
 
-std::string client_palette_spec(const ArgParser& args) {
-  std::string out;
-  for (const char* flag : kPaletteFlags) {
-    if (!args.has(flag)) continue;
-    if (!out.empty()) out += ' ';
-    out += "--" + std::string(flag) + "=" + get_value_flag(args, flag, "");
+/// The checked request a color/stats command line describes — the same one
+/// whether it runs locally or through --server.
+serve::Request command_request(const ArgParser& args, const std::string& op) {
+  serve::Request req;
+  req.op = op;
+  req.graph_spec = client_graph_spec(args);
+  req.palette_spec = render_flags(args, kPaletteFlags);
+  if (op == "color") {
+    req.algo = get_value_flag(args, "algo", "reduce");
+    req.seed = get_uint_strict(args, "seed", 1);
+    req.want_stats = args.has("stats");
   }
-  return out;
+  const unsigned threads = resolve_threads(args);
+  check_request(req, args.has("threads"));
+  // A $DETCOL_THREADS default does not apply to a sequential pipeline.
+  req.threads = pipeline_threaded(req.algo) ? threads : 1;
+  return req;
 }
 
-/// Shared non-ok response handling: print the server's diagnostic, map
-/// "usage" to exit 2 and everything else to exit 1.
-int report_server_error(const char* cmd, const JsonValue& resp) {
-  const JsonValue* cls = resp.find("error_class");
-  const JsonValue* msg = resp.find("message");
+/// Non-ok response: print the server's diagnostic, map "usage" to exit 2
+/// and everything else to exit 1.
+int report_server_error(const char* cmd, const Response& resp) {
   std::fprintf(stderr, "detcol %s: server error (%s): %s\n", cmd,
-               cls != nullptr ? cls->string_value.c_str() : "unknown",
-               msg != nullptr ? msg->string_value.c_str() : "no message");
-  return cls != nullptr && cls->string_value == "usage" ? kExitUsage
-                                                        : kExitFailure;
+               resp.error_class.c_str(), resp.message.c_str());
+  return resp.error_class == "usage" ? kExitUsage : kExitFailure;
 }
 
-bool response_ok(const JsonValue& resp) {
-  const JsonValue* ok = resp.find("ok");
-  return ok != nullptr && ok->kind == JsonValue::Kind::kBool &&
-         ok->bool_value;
+void write_stats(const std::string& path, const std::string& doc,
+                 bool quiet) {
+  write_json_file(path, doc);
+  if (!quiet) std::fprintf(stderr, "wrote stats JSON to %s\n", path.c_str());
 }
 
-/// Raw bytes of a response sub-value (to re-emit e.g. the stats document
-/// byte-identically).
-std::string raw_span(const std::string& raw, const JsonValue& v) {
-  return raw.substr(v.raw_begin, v.raw_end - v.raw_begin);
-}
-
-int run_color_via_server(const ArgParser& args) {
-  const bool quiet = get_bool_strict(args, "quiet");
-  serve::Request req;
-  req.op = "color";
-  req.graph_spec = client_graph_spec(args);
-  req.palette_spec = client_palette_spec(args);
-  req.algo = get_value_flag(args, "algo", "reduce");
-  req.seed = get_uint_strict(args, "seed", 1);
-  req.threads = resolve_threads(args);
-  req.want_stats = args.has("stats");
-  // Mirror the local command's flag-applicability checks so a bad
-  // invocation fails identically with or without --server.
-  if (req.want_stats && !pipeline_has_stats(req.algo)) {
-    usage_error("--stats is only supported with --algo=reduce, randreduce, "
-                "lowspace or mis");
-  }
-  if (args.has("threads") && !pipeline_threaded(req.algo)) {
-    usage_error(
-        "--threads only applies to --algo=reduce, randreduce, lowspace, mis "
-        "or trial");
-  }
-  std::string raw;
-  serve::ServeClient client(get_value_flag(args, "server", ""));
-  const JsonValue resp = client.roundtrip(req, &raw);
-  if (!response_ok(resp)) return report_server_error("color", resp);
-  const JsonValue* result = resp.find("result");
-  DC_CHECK(result != nullptr, "server response has no \"result\"");
-  const JsonValue* file = result->find("coloring_file");
-  DC_CHECK(file != nullptr, "server response has no \"coloring_file\"");
-  with_output(args, [&](std::ostream& os) { os << file->string_value; });
-  const std::string stats_path = get_value_flag(args, "stats", "");
-  if (!stats_path.empty()) {
-    const JsonValue* stats = resp.find("stats");
-    DC_CHECK(stats != nullptr, "server returned no stats document");
-    write_json_file(stats_path, raw_span(raw, *stats));
-    if (!quiet) {
-      std::fprintf(stderr, "wrote stats JSON to %s\n", stats_path.c_str());
-    }
-  }
-  if (!quiet) {
-    const JsonValue* graph = result->find("graph");
-    const JsonValue* colors = result->find("colors_used");
-    const JsonValue* rounds = result->find("rounds");
-    std::fprintf(
-        stderr,
-        "colored %s with algo=%s via server: %llu colors used, %llu model "
-        "rounds; verified OK\n",
-        graph != nullptr ? graph->string_value.c_str() : "?",
-        req.algo.c_str(),
-        static_cast<unsigned long long>(
-            colors != nullptr ? colors->number : 0),
-        static_cast<unsigned long long>(
-            rounds != nullptr ? rounds->number : 0));
-  }
-  return kExitOk;
-}
-
-int run_verify_via_server(const ArgParser& args, const std::string& path) {
-  if (args.has("graph")) {
-    usage_error("--graph does not apply with --server (the graph file lives "
-                "on the client)");
-  }
-  serve::Request req;
-  req.op = "verify";
-  req.coloring_text = slurp_file(path);
-  req.proper_only = get_bool_strict(args, "proper-only");
-  serve::ServeClient client(get_value_flag(args, "server", ""));
-  const JsonValue resp = client.roundtrip(req);
-  if (!response_ok(resp)) {
-    // Any failed verification attempt — corrupt file, unknown spec — is a
-    // data problem: exit 1, like the local path.
-    const JsonValue* msg = resp.find("message");
-    std::fprintf(stderr, "INVALID: %s\n",
-                 msg != nullptr ? msg->string_value.c_str() : "server error");
+/// The verdict line `verify` prints, locally or through --server.
+int report_verdict(bool ok, const std::string& issue, bool proper_only,
+                   std::uint64_t n, std::uint64_t m, std::uint64_t colors) {
+  if (!ok) {
+    std::fprintf(stderr, "INVALID: %s\n", issue.c_str());
     return kExitFailure;
   }
-  const JsonValue* result = resp.find("result");
-  DC_CHECK(result != nullptr, "server response has no \"result\"");
-  const JsonValue* valid = result->find("valid");
-  DC_CHECK(valid != nullptr, "server response has no \"valid\"");
-  if (!valid->bool_value) {
-    const JsonValue* issue = result->find("issue");
-    std::fprintf(stderr, "INVALID: %s\n",
-                 issue != nullptr ? issue->string_value.c_str() : "");
-    return kExitFailure;
-  }
-  const JsonValue* proper = result->find("proper_only");
-  const JsonValue* n = result->find("n");
-  const JsonValue* m = result->find("m");
-  const JsonValue* colors = result->find("colors_used");
-  std::fprintf(stderr, "OK: proper%s coloring of n=%llu, m=%llu with %llu "
-               "colors\n",
-               proper != nullptr && proper->bool_value
-                   ? ""
-                   : ", palette-respecting",
-               static_cast<unsigned long long>(n != nullptr ? n->number : 0),
-               static_cast<unsigned long long>(m != nullptr ? m->number : 0),
-               static_cast<unsigned long long>(
-                   colors != nullptr ? colors->number : 0));
-  return kExitOk;
-}
-
-int run_stats_via_server(const ArgParser& args) {
-  serve::Request req;
-  req.op = "stats";
-  req.graph_spec = client_graph_spec(args);
-  req.palette_spec = client_palette_spec(args);
-  req.threads = resolve_threads(args);
-  std::string raw;
-  serve::ServeClient client(get_value_flag(args, "server", ""));
-  const JsonValue resp = client.roundtrip(req, &raw);
-  if (!response_ok(resp)) return report_server_error("stats", resp);
-  const JsonValue* stats = resp.find("stats");
-  DC_CHECK(stats != nullptr, "server returned no stats document");
-  const std::string doc = raw_span(raw, *stats);
-  with_output(args, [&](std::ostream& os) { os << doc << '\n'; });
+  std::fprintf(stderr,
+               "OK: proper%s coloring of n=%llu, m=%llu with %llu colors\n",
+               proper_only ? "" : ", palette-respecting",
+               static_cast<unsigned long long>(n),
+               static_cast<unsigned long long>(m),
+               static_cast<unsigned long long>(colors));
   return kExitOk;
 }
 
@@ -488,7 +341,7 @@ int cmd_gen_scalable(const ArgParser& args, ScalableFamily family) {
                 " writes the .dcg container; --out must end in .dcg (use "
                 "`detcol convert` for other formats)");
   }
-  const ExecHolder ex = make_exec(args);
+  const ExecHolder ex = make_exec_holder(resolve_threads(args));
   const ScalableGenResult res = generate_scalable_dcg(src.gen, out, ex.exec);
   if (!get_bool_strict(args, "quiet")) {
     std::fprintf(stderr, "generated %s: n=%u, m=%llu, Delta=%u -> %s\n",
@@ -535,58 +388,52 @@ int cmd_color(const ArgParser& args) {
                                      {"algo", "stats", "out", "quiet",
                                       "threads", "server"}));
   reject_positionals(args);
-  if (args.has("server")) return run_color_via_server(args);
-  const std::string algo = get_value_flag(args, "algo", "reduce");
-  if (!pipeline_known(algo)) usage_error("unknown --algo '" + algo + "'");
+  const bool quiet = get_bool_strict(args, "quiet");
+  const std::string stats_path = get_value_flag(args, "stats", "");
+  const serve::Request req = command_request(args, "color");
+  if (args.has("server")) {
+    const Response resp = call_server(get_value_flag(args, "server", ""), req);
+    if (!resp.ok) return report_server_error("color", resp);
+    const std::string& file = resp.need("coloring_file").string_value;
+    with_output(args, [&](std::ostream& os) { os << file; });
+    if (!stats_path.empty()) write_stats(stats_path, resp.stats(), quiet);
+    if (!quiet) {
+      std::fprintf(stderr,
+                   "colored %s with algo=%s via server: %llu colors used, "
+                   "%llu model rounds; verified OK\n",
+                   resp.need("graph").string_value.c_str(), req.algo.c_str(),
+                   static_cast<unsigned long long>(resp.count("colors_used")),
+                   static_cast<unsigned long long>(resp.count("rounds")));
+    }
+    return kExitOk;
+  }
   // --seed doubles as the algorithm seed only for the randomized baselines;
   // anywhere else it must be consumed by the generator or rejected.
-  const bool algo_uses_seed = algo == "trial" || algo == "randreduce";
-  const GraphSource src = build_graph(args, algo_uses_seed);
+  const GraphSource src = build_graph(args, pipeline_seeded(req.algo));
   const Graph& g = src.graph;
   const PaletteSource pal = build_palettes(args, g);
-  const bool quiet = get_bool_strict(args, "quiet");
-  if (args.has("stats") && !pipeline_has_stats(algo)) {
-    usage_error("--stats is only supported with --algo=reduce, randreduce, "
-                "lowspace or mis");
-  }
-  if (args.has("threads") && !pipeline_threaded(algo)) {
-    usage_error(
-        "--threads only applies to --algo=reduce, randreduce, lowspace, mis "
-        "or trial");
-  }
-
-  const ExecHolder ex = make_exec(args);
-  const std::string stats_path = get_value_flag(args, "stats", "");
-  PipelineRun run =
-      run_pipeline(algo, g, pal.palettes, ex.exec,
-                   get_uint_strict(args, "seed", 1), !stats_path.empty());
-  if (!stats_path.empty()) {
-    write_json_file(stats_path, run.stats_json);
-    if (!quiet) {
-      std::fprintf(stderr, "wrote stats JSON to %s\n", stats_path.c_str());
-    }
-  }
-
-  const VerifyResult v = verify_coloring(g, pal.palettes, run.coloring);
-  if (!v.ok) {
+  const ExecHolder ex = make_exec_holder(req.threads);
+  const Execution run = execute(req, g, pal.palettes, ex.exec);
+  if (!stats_path.empty()) write_stats(stats_path, run.run.stats_json, quiet);
+  if (!run.verdict.ok) {
     std::fprintf(stderr, "detcol color: algorithm '%s' produced an INVALID "
-                 "coloring: %s\n", algo.c_str(), v.issue.c_str());
+                 "coloring: %s\n", req.algo.c_str(), run.verdict.issue.c_str());
     return kExitFailure;
   }
   with_output(args, [&](std::ostream& os) {
-    write_coloring(os, run.coloring, src.spec, pal.spec);
+    write_coloring(os, run.run.coloring, src.spec, pal.spec);
   });
   if (!quiet) {
-    std::string round_note;
-    if (run.rounds > 0) {
-      round_note = ", " + std::to_string(run.rounds) + " model rounds";
-    }
+    const std::string round_note =
+        run.run.rounds > 0
+            ? ", " + std::to_string(run.run.rounds) + " model rounds"
+            : "";
     std::fprintf(stderr,
                  "colored %s (n=%u, m=%zu, Delta=%u) with algo=%s: "
                  "%zu colors used%s; verified OK\n",
                  src.spec.c_str(), g.num_nodes(), g.num_edges(),
-                 g.max_degree(), algo.c_str(),
-                 count_distinct_colors(run.coloring), round_note.c_str());
+                 g.max_degree(), req.algo.c_str(), run.colors_used,
+                 round_note.c_str());
   }
   return kExitOk;
 }
@@ -604,60 +451,54 @@ int cmd_verify(const ArgParser& args) {
     path = args.positional().front();
   }
   if (path.empty()) usage_error("verify needs --coloring=FILE");
-  if (args.has("server")) return run_verify_via_server(args, path);
-  const ColoringFile file = read_coloring_file(path);
-
-  Graph g;
-  if (args.has("graph")) {
-    g = read_edge_list_file(get_value_flag(args, "graph", ""));
-  } else if (!file.graph_spec.empty()) {
-    try {
-      g = build_graph(parse_spec(file.graph_spec),
-                      /*allow_algo_seed=*/false).graph;
-    } catch (const UsageError& e) {
-      std::fprintf(stderr, "INVALID: corrupt '# graph:' header in %s: %s\n",
-                   path.c_str(), e.what());
-      return kExitFailure;
+  const bool proper_only = get_bool_strict(args, "proper-only");
+  if (args.has("server")) {
+    if (args.has("graph")) {
+      usage_error("--graph does not apply with --server (the graph file "
+                  "lives on the client)");
     }
-  } else {
+    serve::Request req;
+    req.op = "verify";
+    req.coloring_text = slurp_file(path);
+    req.proper_only = proper_only;
+    const Response resp = call_server(get_value_flag(args, "server", ""), req);
+    // Any failed verification attempt — corrupt file, unknown spec — is a
+    // data problem: exit 1, like the local path.
+    if (!resp.ok) return report_verdict(false, resp.message, false, 0, 0, 0);
+    const JsonValue* issue = resp.result("issue");
+    return report_verdict(resp.need("valid").bool_value,
+                          issue != nullptr ? issue->string_value : "",
+                          resp.need("proper_only").bool_value,
+                          resp.count("n"), resp.count("m"),
+                          resp.count("colors_used"));
+  }
+  const ColoringFile file = read_coloring_file(path);
+  const std::string graph_path = get_value_flag(args, "graph", "");
+  if (graph_path.empty() && file.graph_spec.empty()) {
     usage_error("coloring file has no '# graph:' header; pass --graph=FILE");
   }
-  DC_CHECK(g.num_nodes() == file.coloring.color.size(),
-           "graph has ", g.num_nodes(), " nodes but coloring file has ",
-           file.coloring.color.size(), " entries");
-
-  VerifyResult v;
-  const bool proper_only =
-      get_bool_strict(args, "proper-only") || file.palette_spec.empty();
-  if (proper_only) {
-    v = verify_proper_partial(g, file.coloring);
-    if (v.ok && !file.coloring.complete()) {
-      v.ok = false;
-      v.issue = "coloring is incomplete (" +
-                std::to_string(file.coloring.num_colored()) + " of " +
-                std::to_string(file.coloring.color.size()) +
-                " nodes colored)";
-    }
-  } else {
-    try {
-      const PaletteSet palettes =
-          build_palettes(parse_spec(file.palette_spec), g).palettes;
-      v = verify_coloring(g, palettes, file.coloring);
-    } catch (const UsageError& e) {
-      std::fprintf(stderr, "INVALID: corrupt '# palette:' header in %s: %s\n",
-                   path.c_str(), e.what());
-      return kExitFailure;
-    }
-  }
-  if (!v.ok) {
-    std::fprintf(stderr, "INVALID: %s\n", v.issue.c_str());
+  Graph g;
+  FileVerdict fv;
+  const char* header = "graph";  // the recorded spec being rebuilt
+  try {
+    g = !graph_path.empty()
+            ? read_graph_file(graph_path)
+            : build_graph(parse_spec(file.graph_spec),
+                          /*allow_algo_seed=*/false).graph;
+    header = "palette";
+    fv = verify_coloring_file(g, file, proper_only, [&](const std::string& s) {
+      return std::make_shared<const PaletteSet>(
+          build_palettes(parse_spec(s), g).palettes);
+    });
+  } catch (const UsageError& e) {
+    // A spec recorded in the file that does not parse is a file problem.
+    std::fprintf(stderr, "INVALID: corrupt '# %s:' header in %s: %s\n",
+                 header, path.c_str(), e.what());
     return kExitFailure;
   }
-  std::fprintf(stderr,
-               "OK: proper%s coloring of n=%u, m=%zu with %zu colors\n",
-               proper_only ? "" : ", palette-respecting", g.num_nodes(),
-               g.num_edges(), count_distinct_colors(file.coloring));
-  return kExitOk;
+  return report_verdict(fv.verdict.ok, fv.verdict.issue, fv.proper_only,
+                        g.num_nodes(), g.num_edges(),
+                        count_distinct_colors(file.coloring));
 }
 
 int cmd_stats(const ArgParser& args) {
@@ -665,17 +506,22 @@ int cmd_stats(const ArgParser& args) {
                                      {"out", "quiet", "threads", "server"}));
   reject_positionals(args);
   get_bool_strict(args, "quiet");  // accepted as a no-op, but validated
-  if (args.has("server")) return run_stats_via_server(args);
-  const GraphSource src = build_graph(args, /*allow_algo_seed=*/false);
-  const PaletteSource pal = build_palettes(args, src.graph);
-  const ExecHolder ex = make_exec(args);
-  PipelineRun run = run_pipeline("reduce", src.graph, pal.palettes, ex.exec,
-                                 /*seed=*/1, /*want_stats=*/true);
-  const VerifyResult v = verify_coloring(src.graph, pal.palettes,
-                                         run.coloring);
-  DC_CHECK(v.ok, "ColorReduce produced an invalid coloring: ", v.issue);
-  with_output(args,
-              [&](std::ostream& os) { os << run.stats_json << '\n'; });
+  const serve::Request req = command_request(args, "stats");
+  std::string doc;
+  if (args.has("server")) {
+    const Response resp = call_server(get_value_flag(args, "server", ""), req);
+    if (!resp.ok) return report_server_error("stats", resp);
+    doc = resp.stats();
+  } else {
+    const GraphSource src = build_graph(args, /*allow_algo_seed=*/false);
+    const PaletteSource pal = build_palettes(args, src.graph);
+    const ExecHolder ex = make_exec_holder(req.threads);
+    Execution run = execute(req, src.graph, pal.palettes, ex.exec);
+    DC_CHECK(run.verdict.ok, "ColorReduce produced an invalid coloring: ",
+             run.verdict.issue);
+    doc = std::move(run.run.stats_json);
+  }
+  with_output(args, [&](std::ostream& os) { os << doc << '\n'; });
   return kExitOk;
 }
 
@@ -684,7 +530,7 @@ int cmd_convert(const ArgParser& args) {
                                      {"from", "to", "out", "quiet",
                                       "threads"}));
   reject_positionals(args);
-  const ExecHolder ex = make_exec(args);
+  const ExecHolder ex = make_exec_holder(resolve_threads(args));
 
   GraphFormat from = GraphFormat::kAuto;
   if (args.has("from")) {
@@ -758,586 +604,24 @@ int cmd_serve(const ArgParser& args) {
   return serve::run_server(opts);
 }
 
-// ---------------------------------------------------------------------------
-// The suite runner: a declarative {graph x pipeline x threads} matrix.
-// ---------------------------------------------------------------------------
-
-/// Parsed suite spec. Spec problems are data errors (CheckError, exit 1) —
-/// the spec is an input file, not the command line.
-struct SuiteSpec {
-  struct GraphDecl {
-    std::string name;
-    std::string flags;  // "--gen=... --n=..." or "--input=path"
-  };
-  std::vector<GraphDecl> graphs;
-  std::string palette_flags;          // empty -> delta1
-  std::vector<std::string> pipelines;  // canonical algo names
-  std::vector<unsigned> threads{1};
-  std::vector<std::string> kernels;  // resolved kernel names; empty -> the
-                                     // process-active (--simd) selection
-  std::string server;             // endpoint: run cells as served requests
-  std::uint64_t algo_seed = 1;    // trial's RNG seed
-  double timeout_seconds = 0;     // per-cell wall budget; 0 = unlimited
-  bool timing = true;             // false: report wall_seconds as 0
-};
-
-SuiteSpec parse_suite_spec(const std::string& text, const std::string& what) {
-  SuiteSpec spec;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::string directive;
-    if (!(ls >> directive)) continue;
-    std::vector<std::string> rest;
-    for (std::string tok; ls >> tok;) rest.push_back(tok);
-    const auto join = [](const std::vector<std::string>& tokens,
-                         std::size_t from) {
-      std::string out;
-      for (std::size_t i = from; i < tokens.size(); ++i) {
-        if (!out.empty()) out += ' ';
-        out += tokens[i];
-      }
-      return out;
-    };
-    if (directive == "graph") {
-      DC_CHECK(rest.size() >= 2, what, ":", line_no,
-               ": 'graph' needs a name and flags (graph NAME --gen=... | "
-               "--input=FILE)");
-      for (const auto& g : spec.graphs) {
-        DC_CHECK(g.name != rest[0], what, ":", line_no,
-                 ": duplicate graph name '", rest[0], "'");
-      }
-      spec.graphs.push_back({rest[0], join(rest, 1)});
-    } else if (directive == "palette") {
-      DC_CHECK(!rest.empty(), what, ":", line_no, ": 'palette' needs flags");
-      spec.palette_flags = join(rest, 0);
-    } else if (directive == "pipelines") {
-      DC_CHECK(!rest.empty(), what, ":", line_no,
-               ": 'pipelines' needs at least one name");
-      for (std::string name : rest) {
-        if (name == "colorreduce") name = "reduce";
-        DC_CHECK(name == "reduce" || name == "lowspace" || name == "mis" ||
-                     name == "trial" || name == "greedy",
-                 what, ":", line_no, ": unknown pipeline '", name,
-                 "' (reduce, lowspace, mis, trial, greedy)");
-        spec.pipelines.push_back(name);
-      }
-    } else if (directive == "threads") {
-      DC_CHECK(!rest.empty(), what, ":", line_no,
-               ": 'threads' needs at least one count");
-      spec.threads.clear();
-      for (const auto& tok : rest) {
-        std::uint64_t t = 0;
-        DC_CHECK(io_detail::parse_u64(tok, &t) && t >= 1 && t <= kMaxThreads,
-                 what, ":", line_no, ": thread count must be in [1, ",
-                 kMaxThreads, "], got '", tok, "'");
-        spec.threads.push_back(static_cast<unsigned>(t));
-      }
-    } else if (directive == "kernels") {
-      DC_CHECK(!rest.empty(), what, ":", line_no,
-               ": 'kernels' needs at least one name");
-      spec.kernels.clear();
-      for (const auto& tok : rest) {
-        // Resolve "auto" to the host's best kernel at parse time, so the
-        // cell key is a concrete kernel name; a name this host cannot run
-        // is a spec (data) error, like an out-of-range thread count.
-        SimdKind kind = SimdKind::kScalar;
-        if (tok == "auto") {
-          kind = simd_auto_kind();
-        } else if (tok == "scalar") {
-          kind = SimdKind::kScalar;
-        } else if (tok == "avx2") {
-          kind = SimdKind::kAvx2;
-        } else if (tok == "neon") {
-          kind = SimdKind::kNeon;
-        } else {
-          DC_CHECK(false, what, ":", line_no, ": unknown kernel '", tok,
-                   "' (auto, scalar, avx2, neon)");
-        }
-        DC_CHECK(simd_available(kind), what, ":", line_no, ": kernel '", tok,
-                 "' is not available on this host/build");
-        const std::string name = simd_kind_name(kind);
-        const bool dup = std::any_of(
-            spec.kernels.begin(), spec.kernels.end(),
-            [&](const std::string& k) { return k == name; });
-        if (!dup) spec.kernels.push_back(name);
-      }
-    } else if (directive == "server") {
-      DC_CHECK(rest.size() == 1, what, ":", line_no,
-               ": 'server' needs one endpoint (socket path or "
-               "tcp:HOST:PORT)");
-      spec.server = rest[0];
-    } else if (directive == "seed") {
-      DC_CHECK(rest.size() == 1 && io_detail::parse_u64(rest[0],
-                                                        &spec.algo_seed),
-               what, ":", line_no, ": 'seed' needs one unsigned integer");
-    } else if (directive == "timeout_seconds") {
-      DC_CHECK(rest.size() == 1, what, ":", line_no,
-               ": 'timeout_seconds' needs one value");
-      char* end = nullptr;
-      spec.timeout_seconds = std::strtod(rest[0].c_str(), &end);
-      DC_CHECK(!rest[0].empty() && *end == '\0' && spec.timeout_seconds > 0,
-               what, ":", line_no,
-               ": 'timeout_seconds' must be a positive number, got '",
-               rest[0], "'");
-    } else if (directive == "timing") {
-      DC_CHECK(rest.size() == 1 && (rest[0] == "on" || rest[0] == "off"),
-               what, ":", line_no, ": 'timing' needs 'on' or 'off'");
-      spec.timing = rest[0] == "on";
-    } else {
-      DC_CHECK(false, what, ":", line_no, ": unknown directive '", directive,
-               "' (graph, palette, pipelines, threads, kernels, server, "
-               "seed, timeout_seconds, timing)");
-    }
-  }
-  DC_CHECK(!spec.graphs.empty(), what, ": spec declares no 'graph' lines");
-  DC_CHECK(!spec.pipelines.empty(), what,
-           ": spec declares no 'pipelines' line");
-  DC_CHECK(spec.server.empty() || spec.kernels.empty(), what,
-           ": 'server' and 'kernels' are mutually exclusive (the kernel is "
-           "the server's --simd selection)");
-  return spec;
-}
-
-struct SuiteCell {
-  std::uint64_t rounds = 0;
-  std::size_t colors = 0;
-  double wall_seconds = 0;
-  bool verified = false;
-  std::string issue;
-  std::string mpc_json;  // the pipeline's MPC cost block; empty for baselines
-};
-
-SuiteCell run_suite_cell(const Graph& g, const PaletteSet& palettes,
-                         const std::string& pipeline, ExecContext exec,
-                         std::uint64_t seed) {
-  SuiteCell cell;
-  PipelineRun run =
-      run_pipeline(pipeline, g, palettes, exec, seed, /*want_stats=*/false);
-  cell.rounds = run.rounds;
-  cell.mpc_json = std::move(run.mpc_json);
-  cell.wall_seconds = run.wall_seconds;
-  const VerifyResult v = verify_coloring(g, palettes, run.coloring);
-  cell.verified = v.ok;
-  cell.issue = v.issue;
-  cell.colors = count_distinct_colors(run.coloring);
-  return cell;
-}
-
-/// One graph declaration, built lazily the first time one of its cells runs.
-/// A build failure (unreadable file, corrupt content, bad generator flags)
-/// is captured here instead of thrown, so it marks only this graph's cells
-/// as errors while the rest of the matrix proceeds.
-struct GraphSlot {
-  SuiteSpec::GraphDecl decl;
-  bool attempted = false;
-  bool failed = false;
-  std::string error;
-  Graph graph;
-  PaletteSet palettes;
-};
-
-void ensure_graph(GraphSlot& slot, const std::string& palette_flags,
-                  ExecContext exec) {
-  if (slot.attempted) return;
-  slot.attempted = true;
-  try {
-    slot.graph = build_graph(parse_spec(slot.decl.flags),
-                             /*allow_algo_seed=*/false, GraphFormat::kAuto,
-                             exec)
-                     .graph;
-    const std::string pal_flags =
-        palette_flags.empty() ? "--palette=delta1" : palette_flags;
-    slot.palettes = build_palettes(parse_spec(pal_flags), slot.graph).palettes;
-  } catch (const UsageError& e) {
-    slot.failed = true;
-    slot.error = e.what();
-  } catch (const std::exception& e) {  // CheckError, bad_alloc, system_error
-    slot.failed = true;
-    slot.error = e.what();
-  }
-  if (slot.failed) {
-    slot.graph = Graph();
-    slot.palettes = PaletteSet();
-  }
-}
-
-/// A cell's structured outcome: "ok" with the run's numbers, "timeout", or
-/// "error" with a taxonomy class (load, check, oom, io, verify, internal).
-struct CellOutcome {
-  std::string status;
-  std::string error_class;
-  std::string message;
-  SuiteCell cell;
-};
-
-CellOutcome run_cell_isolated(const GraphSlot& slot,
-                              const std::string& pipeline, ExecContext exec,
-                              std::uint64_t seed, double timeout_seconds) {
-  CellOutcome out;
-  if (slot.failed) {
-    out.status = "error";
-    out.error_class = "load";
-    out.message = slot.error;
-    return out;
-  }
-  // The deadline lives on this frame for the whole pipeline call; the exec
-  // copy handed down carries a pointer to it (exec/exec.hpp lifetime rule).
-  Deadline deadline;
-  if (timeout_seconds > 0) deadline = Deadline::after_seconds(timeout_seconds);
-  exec.set_deadline(&deadline);
-  try {
-    DC_FAILPOINT("suite.cell");
-    out.cell = run_suite_cell(slot.graph, slot.palettes, pipeline, exec, seed);
-    if (out.cell.verified) {
-      out.status = "ok";
-    } else {
-      out.status = "error";
-      out.error_class = "verify";
-      out.message = out.cell.issue;
-    }
-  } catch (const DeadlineExceeded& e) {
-    out.status = "timeout";
-    out.message = e.what();
-  } catch (const CheckError& e) {
-    out.status = "error";
-    out.error_class = "check";
-    out.message = e.what();
-  } catch (const std::bad_alloc&) {
-    out.status = "error";
-    out.error_class = "oom";
-    out.message = "allocation failure";
-  } catch (const std::system_error& e) {
-    out.status = "error";
-    out.error_class = "io";
-    out.message = e.what();
-  } catch (const std::exception& e) {
-    out.status = "error";
-    out.error_class = "internal";
-    out.message = e.what();
-  }
-  return out;
-}
-
-/// The 'server' directive: the cell becomes one request against a running
-/// `detcol serve` — a load-generator mode. The graph is still built locally
-/// (the report header records n/m/Δ), but the pipeline runs server-side
-/// under the cell's thread budget; the response's deterministic fields map
-/// onto the same cell schema.
-CellOutcome run_cell_via_server(const std::string& endpoint,
-                                const SuiteSpec& spec, const GraphSlot& slot,
-                                const std::string& pipeline,
-                                unsigned threads) {
-  CellOutcome out;
-  if (slot.failed) {
-    out.status = "error";
-    out.error_class = "load";
-    out.message = slot.error;
-    return out;
-  }
-  try {
-    DC_FAILPOINT("suite.cell");
-    serve::Request req;
-    req.op = "color";
-    req.graph_spec = slot.decl.flags;
-    req.palette_spec = spec.palette_flags;
-    req.algo = pipeline;
-    req.seed = spec.algo_seed;
-    req.threads = threads;
-    req.timeout_seconds = spec.timeout_seconds;
-    std::string raw;
-    serve::ServeClient client(endpoint);
-    const JsonValue resp = client.roundtrip(req, &raw);
-    if (response_ok(resp)) {
-      const JsonValue* result = resp.find("result");
-      DC_CHECK(result != nullptr, "server response has no \"result\"");
-      const JsonValue* rounds = result->find("rounds");
-      const JsonValue* colors = result->find("colors_used");
-      DC_CHECK(rounds != nullptr && colors != nullptr,
-               "server response result lacks rounds/colors_used");
-      out.cell.rounds = static_cast<std::uint64_t>(rounds->number);
-      out.cell.colors = static_cast<std::size_t>(colors->number);
-      out.cell.verified = true;
-      if (const JsonValue* mpc = result->find("mpc")) {
-        out.cell.mpc_json = raw.substr(mpc->raw_begin,
-                                       mpc->raw_end - mpc->raw_begin);
-      }
-      if (const JsonValue* transient = resp.find("transient")) {
-        if (const JsonValue* wall = transient->find("wall_seconds")) {
-          out.cell.wall_seconds = wall->number;
-        }
-      }
-      out.status = "ok";
-    } else {
-      const JsonValue* cls = resp.find("error_class");
-      const JsonValue* msg = resp.find("message");
-      const std::string error_class =
-          cls != nullptr ? cls->string_value : "internal";
-      out.message = msg != nullptr ? msg->string_value : "server error";
-      if (error_class == "timeout") {
-        out.status = "timeout";
-      } else {
-        out.status = "error";
-        out.error_class = error_class;
-      }
-    }
-  } catch (const CheckError& e) {  // connect/transport failures
-    out.status = "error";
-    out.error_class = "io";
-    out.message = e.what();
-  } catch (const std::exception& e) {
-    out.status = "error";
-    out.error_class = "internal";
-    out.message = e.what();
-  }
-  return out;
-}
-
-/// Render a suite cell's JSON object. `timing` off reports wall_seconds as 0
-/// so full reports are byte-identical across runs (the resume tests rely on
-/// this).
-std::string render_cell_json(const std::string& graph,
-                             const std::string& pipeline, unsigned threads,
-                             const std::string& kernel, const CellOutcome& out,
-                             bool timing) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("graph").value(graph);
-  w.key("pipeline").value(pipeline);
-  w.key("threads").value(threads);
-  w.key("kernel").value(kernel);
-  w.key("status").value(out.status);
-  if (out.status == "ok") {
-    w.key("rounds").value(out.cell.rounds);
-    w.key("colors_used").value(std::uint64_t{out.cell.colors});
-    w.key("wall_seconds").value(timing ? out.cell.wall_seconds : 0.0);
-    w.key("verified").value(true);
-    if (!out.cell.mpc_json.empty()) w.key("mpc").raw(out.cell.mpc_json);
-  } else if (out.status == "timeout") {
-    w.key("message").value(out.message);
-  } else {  // "error"
-    w.key("error_class").value(out.error_class);
-    w.key("message").value(out.message);
-  }
-  w.end_object();
-  return w.str();
-}
-
 int cmd_suite(const ArgParser& args) {
   reject_unknown_flags(args, combine({"spec", "out", "quiet", "resume"}));
   reject_positionals(args);
-  const std::string spec_path = get_value_flag(args, "spec", "");
-  if (spec_path.empty()) usage_error("suite needs --spec=FILE");
-  const bool quiet = get_bool_strict(args, "quiet");
-  const SuiteSpec spec = parse_suite_spec(slurp_file(spec_path), spec_path);
-  const std::string out_path = get_value_flag(args, "out", "-");
-  const bool file_out = !(out_path.empty() || out_path == "-");
-  const bool via_server = !spec.server.empty();
-
-  // --resume=REPORT: reload a prior (possibly partial) report of the same
-  // spec; every cell it records is skipped and re-emitted byte-for-byte from
-  // its raw span, so a clean run and a kill + resume produce identical
-  // reports (with `timing off`). Problems in the report are data errors.
-  std::map<std::string, std::string> resume_cells;  // key -> raw JSON object
-  std::map<std::string, bool> resume_ok;            // key -> status == "ok"
-  std::map<std::string, std::string> resume_graphs;  // name -> raw header row
-  const auto cell_key = [](const std::string& graph,
-                           const std::string& pipeline, unsigned threads,
-                           const std::string& kernel) {
-    return graph + '|' + pipeline + '|' + std::to_string(threads) + '|' +
-           kernel;
-  };
-  if (args.has("resume")) {
-    const std::string rpath = get_value_flag(args, "resume", "");
-    if (rpath.empty()) usage_error("--resume requires a report path");
-    const std::string text = slurp_file(rpath);
-    const JsonValue doc = parse_json(text, rpath);
-    DC_CHECK(doc.find("detcol_suite") != nullptr, rpath,
-             ": not a detcol suite report (no \"detcol_suite\" field)");
-    const auto raw_of = [&](const JsonValue& v) {
-      return text.substr(v.raw_begin, v.raw_end - v.raw_begin);
-    };
-    if (const JsonValue* rows = doc.find("graphs")) {
-      for (const JsonValue& row : rows->items) {
-        const JsonValue* name = row.find("name");
-        // Rows checkpointed before their graph was built carry a "pending"
-        // marker; the resumed run rebuilds those, so skip their stubs.
-        if (name != nullptr && row.find("pending") == nullptr) {
-          resume_graphs[name->string_value] = raw_of(row);
-        }
-      }
-    }
-    if (const JsonValue* rows = doc.find("cells")) {
-      for (const JsonValue& row : rows->items) {
-        const JsonValue* graph = row.find("graph");
-        const JsonValue* pipeline = row.find("pipeline");
-        const JsonValue* threads = row.find("threads");
-        const JsonValue* kernel = row.find("kernel");
-        const JsonValue* status = row.find("status");
-        DC_CHECK(graph != nullptr && pipeline != nullptr &&
-                     threads != nullptr && kernel != nullptr &&
-                     status != nullptr,
-                 rpath, ": malformed cell entry (needs graph, pipeline, "
-                 "threads, kernel, status)");
-        const auto key = cell_key(
-            graph->string_value, pipeline->string_value,
-            static_cast<unsigned>(threads->number), kernel->string_value);
-        resume_cells[key] = raw_of(row);
-        resume_ok[key] = status->string_value == "ok";
-      }
-    }
+  SuiteOptions opts;
+  opts.spec_path = get_value_flag(args, "spec", "");
+  if (opts.spec_path.empty()) usage_error("suite needs --spec=FILE");
+  opts.quiet = get_bool_strict(args, "quiet");
+  const SuiteSpec spec =
+      parse_suite_spec(slurp_file(opts.spec_path), opts.spec_path);
+  opts.out_path = get_value_flag(args, "out", "-");
+  if (opts.out_path == "-") opts.out_path.clear();
+  opts.resume_path = get_value_flag(args, "resume", "");
+  if (args.has("resume") && opts.resume_path.empty()) {
+    usage_error("--resume requires a report path");
   }
-
-  // One pool per distinct thread count, built up front; cells reuse them.
-  // In server mode the cells run remotely, but graphs are still built
-  // locally for the report header.
-  std::map<unsigned, ExecHolder> holders;
-  for (const unsigned t : spec.threads) {
-    if (!holders.count(t)) holders.emplace(t, make_exec_holder(t));
-  }
-  if (!holders.count(1)) holders.emplace(1, make_exec_holder(1));
-  const unsigned max_threads =
-      *std::max_element(spec.threads.begin(), spec.threads.end());
-
-  std::vector<GraphSlot> slots;
-  slots.reserve(spec.graphs.size());
-  for (const auto& decl : spec.graphs) {
-    GraphSlot slot;
-    slot.decl = decl;
-    slots.push_back(std::move(slot));
-  }
-
-  std::vector<std::string> cell_json;  // rendered cells, matrix order
   bool all_ok = true;
-
-  // Full report from the current state; called after every executed cell
-  // (checkpoint) and once at the end. Graph header rows: fresh for built
-  // graphs, load_error for failed ones, resumed raw for graphs whose cells
-  // all came from --resume, and a "pending" stub for graphs not yet reached
-  // (stubs appear only in checkpoints, never in a completed report).
-  const auto render_report = [&]() {
-    JsonWriter w;
-    w.begin_object();
-    w.key("detcol_suite").value(1);
-    w.key("spec").value(spec_path);  // as passed: reports should be portable
-    w.key("host_cpus")
-        .value(std::uint64_t{std::thread::hardware_concurrency()});
-    if (via_server) w.key("server").value(spec.server);
-    if (spec.timeout_seconds > 0) {
-      w.key("timeout_seconds").value(spec.timeout_seconds);
-    }
-    w.key("graphs").begin_array();
-    for (const GraphSlot& slot : slots) {
-      if (!slot.attempted) {
-        const auto resumed = resume_graphs.find(slot.decl.name);
-        if (resumed != resume_graphs.end()) {
-          w.raw(resumed->second);
-          continue;
-        }
-      }
-      w.begin_object();
-      w.key("name").value(slot.decl.name);
-      w.key("spec").value(slot.decl.flags);
-      if (slot.failed) {
-        w.key("load_error").value(slot.error);
-      } else if (slot.attempted) {
-        w.key("n").value(std::uint64_t{slot.graph.num_nodes()});
-        w.key("m").value(std::uint64_t{slot.graph.num_edges()});
-        w.key("max_degree").value(std::uint64_t{slot.graph.max_degree()});
-      } else {
-        w.key("pending").value(true);
-      }
-      w.end_object();
-    }
-    w.end_array();
-    w.key("cells").begin_array();
-    for (const std::string& cell : cell_json) w.raw(cell);
-    w.end_array();
-    w.end_object();
-    return w.str();
-  };
-
-  // Kernel axis: the spec's resolved 'kernels' list, or the process-active
-  // selection (--simd / $DETCOL_SIMD) when the spec is silent. Every engine
-  // captures the kernel at construction, so selecting per cell is exact. In
-  // server mode the kernel is whatever the server runs; cells record the
-  // pseudo-kernel "server".
-  const std::vector<std::string> suite_kernels =
-      via_server ? std::vector<std::string>{"server"}
-      : spec.kernels.empty()
-          ? std::vector<std::string>{active_simd_name()}
-          : spec.kernels;
-
-  for (GraphSlot& slot : slots) {
-    for (const std::string& pipeline : spec.pipelines) {
-      // greedy is the sequential centralized baseline: collapse its thread
-      // axis to one cell instead of re-running identical work — and its
-      // kernel axis too (it does no field arithmetic at all).
-      const std::vector<unsigned> cell_threads =
-          pipeline == "greedy" ? std::vector<unsigned>{1} : spec.threads;
-      const std::vector<std::string> cell_kernels =
-          pipeline == "greedy"
-              ? std::vector<std::string>{suite_kernels.front()}
-              : suite_kernels;
-      for (const unsigned t : cell_threads) {
-        for (const std::string& kernel : cell_kernels) {
-          const std::string key = cell_key(slot.decl.name, pipeline, t,
-                                           kernel);
-          const auto resumed = resume_cells.find(key);
-          if (resumed != resume_cells.end()) {
-            cell_json.push_back(resumed->second);
-            all_ok = all_ok && resume_ok.at(key);
-            continue;
-          }
-          ensure_graph(slot, spec.palette_flags, holders.at(max_threads).exec);
-          if (!via_server) {
-            std::string error;
-            DC_CHECK(select_simd(kernel, &error), error);  // validated above
-          }
-          const CellOutcome out =
-              via_server
-                  ? run_cell_via_server(spec.server, spec, slot, pipeline, t)
-                  : run_cell_isolated(slot, pipeline, holders.at(t).exec,
-                                      spec.algo_seed, spec.timeout_seconds);
-          all_ok = all_ok && out.status == "ok";
-          cell_json.push_back(render_cell_json(slot.decl.name, pipeline, t,
-                                               kernel, out, spec.timing));
-          if (!quiet) {
-            if (out.status == "ok") {
-              std::fprintf(stderr,
-                           "suite: graph=%s pipeline=%s threads=%u kernel=%s "
-                           "-> %zu colors, %llu rounds, %.3fs\n",
-                           slot.decl.name.c_str(), pipeline.c_str(), t,
-                           kernel.c_str(), out.cell.colors,
-                           static_cast<unsigned long long>(out.cell.rounds),
-                           out.cell.wall_seconds);
-            } else {
-              std::fprintf(stderr,
-                           "suite: graph=%s pipeline=%s threads=%u kernel=%s "
-                           "-> %s%s%s (%s)\n",
-                           slot.decl.name.c_str(), pipeline.c_str(), t,
-                           kernel.c_str(), out.status.c_str(),
-                           out.error_class.empty() ? "" : "/",
-                           out.error_class.c_str(), out.message.c_str());
-            }
-          }
-          // Durable checkpoint after every executed cell: a killed run loses
-          // at most the cell in flight, and --resume picks up from here.
-          if (file_out) {
-            atomic_write_file(out_path, render_report() + "\n");
-            DC_FAILPOINT("suite.checkpoint");
-          }
-        }
-      }
-    }
-  }
-
-  with_output(args, [&](std::ostream& os) { os << render_report() << '\n'; });
+  const std::string report = run_suite(spec, opts, &all_ok);
+  with_output(args, [&](std::ostream& os) { os << report << '\n'; });
   if (!all_ok) {
     std::fprintf(stderr,
                  "suite: at least one cell failed, timed out, or did not "
@@ -1356,26 +640,20 @@ int run(int argc, char** argv) {
   // ArgParser skips its argv[0]; handing it argv + 1 makes the subcommand
   // name the skipped slot and parses everything after it.
   const ArgParser args(argc - 1, argv + 1);
-  try {
-    init_failpoints(args);
-    init_simd(args);
-    if (command == "gen") return cmd_gen(args);
-    if (command == "color") return cmd_color(args);
-    if (command == "verify") return cmd_verify(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "convert") return cmd_convert(args);
-    if (command == "suite") return cmd_suite(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "help" || command == "--help" || command == "-h") {
-      std::fputs(kUsage, stdout);
-      return kExitOk;
-    }
-    usage_error("unknown command '" + command + "'");
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "detcol: %s\nRun `detcol help` for usage.\n",
-                 e.what());
-    return kExitUsage;
+  init_global(args, "failpoints", "DETCOL_FAILPOINTS", arm_failpoints);
+  init_global(args, "simd", "DETCOL_SIMD", select_simd);
+  if (command == "gen") return cmd_gen(args);
+  if (command == "color") return cmd_color(args);
+  if (command == "verify") return cmd_verify(args);
+  if (command == "stats") return cmd_stats(args);
+  if (command == "convert") return cmd_convert(args);
+  if (command == "suite") return cmd_suite(args);
+  if (command == "serve") return cmd_serve(args);
+  if (command == "help" || command == "--help" || command == "-h") {
+    std::fputs(kUsage, stdout);
+    return kExitOk;
   }
+  usage_error("unknown command '" + command + "'");
 }
 
 }  // namespace
@@ -1384,20 +662,18 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return detcol::run(argc, argv);
-  } catch (const detcol::CheckError& e) {
-    std::fprintf(stderr, "detcol: %s\n", e.what());
-    return 1;
-  } catch (const detcol::DeadlineExceeded& e) {
-    std::fprintf(stderr, "detcol: %s\n", e.what());
-    return 1;
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "detcol: out of memory\n");
-    return 1;
-  } catch (const std::system_error& e) {
-    std::fprintf(stderr, "detcol: I/O error: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "detcol: unexpected error: %s\n", e.what());
-    return 1;
+  } catch (...) {
+    const detcol::cli::Failure f = detcol::cli::classify_current_exception();
+    if (f.error_class == "usage") {
+      std::fprintf(stderr, "detcol: %s\nRun `detcol help` for usage.\n",
+                   f.message.c_str());
+      return detcol::kExitUsage;
+    }
+    const char* prefix = f.error_class == "io"         ? "I/O error: "
+                         : f.error_class == "internal" ? "unexpected error: "
+                                                       : "";
+    std::fprintf(stderr, "detcol: %s%s\n", prefix,
+                 f.error_class == "oom" ? "out of memory" : f.message.c_str());
+    return detcol::kExitFailure;
   }
 }

@@ -41,43 +41,38 @@ Endpoint parse_endpoint(const std::string& spec) {
 
 ServeClient::ServeClient(const std::string& endpoint) {
   const Endpoint ep = parse_endpoint(endpoint);
+  sockaddr_storage addr{};
+  socklen_t len = 0;
+  std::string where = ep.path_or_host;
+  std::string hint;
   if (ep.tcp) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    DC_CHECK(fd_ >= 0, "socket: ", std::strerror(errno));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(ep.port));
+    auto* in = reinterpret_cast<sockaddr_in*>(&addr);
+    in->sin_family = AF_INET;
+    in->sin_port = htons(static_cast<std::uint16_t>(ep.port));
     // Numeric host only (the server binds loopback; no resolver needed).
-    DC_CHECK(::inet_pton(AF_INET, ep.path_or_host.c_str(), &addr.sin_addr) ==
+    DC_CHECK(::inet_pton(AF_INET, ep.path_or_host.c_str(), &in->sin_addr) ==
                  1,
              "--server host must be a numeric IPv4 address, got '",
              ep.path_or_host, "'");
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd_);
-      fd_ = -1;
-      DC_CHECK(false, "cannot connect to tcp ", ep.path_or_host, ":",
-               ep.port, ": ", why);
-    }
+    len = sizeof(sockaddr_in);
+    where = "tcp " + ep.path_or_host + ":" + std::to_string(ep.port);
   } else {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    DC_CHECK(ep.path_or_host.size() < sizeof(addr.sun_path),
+    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    un->sun_family = AF_UNIX;
+    DC_CHECK(ep.path_or_host.size() < sizeof(un->sun_path),
              "socket path too long: ", ep.path_or_host);
-    std::memcpy(addr.sun_path, ep.path_or_host.c_str(),
+    std::memcpy(un->sun_path, ep.path_or_host.c_str(),
                 ep.path_or_host.size() + 1);
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    DC_CHECK(fd_ >= 0, "socket: ", std::strerror(errno));
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd_);
-      fd_ = -1;
-      DC_CHECK(false, "cannot connect to ", ep.path_or_host, ": ", why,
-               " (is `detcol serve --listen=", ep.path_or_host,
-               "` running?)");
-    }
+    len = sizeof(sockaddr_un);
+    hint = " (is `detcol serve --listen=" + ep.path_or_host + "` running?)";
+  }
+  fd_ = ::socket(addr.ss_family, SOCK_STREAM, 0);
+  DC_CHECK(fd_ >= 0, "socket: ", std::strerror(errno));
+  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), len) < 0) {
+    const std::string why = std::strerror(errno);
+    ::close(fd_);
+    fd_ = -1;
+    DC_CHECK(false, "cannot connect to ", where, ": ", why, hint);
   }
 }
 

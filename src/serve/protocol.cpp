@@ -6,8 +6,10 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 
 #include "cli/spec.hpp"
+#include "graph/io.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 
@@ -123,32 +125,27 @@ Request parse_request(const std::string& payload) {
     throw cli::UsageError("request payload must be a JSON object");
   }
   Request req;
-  const auto get_string = [&](const char* key, std::string* dst) {
-    if (const JsonValue* v = doc.find(key)) {
-      if (v->kind != JsonValue::Kind::kString) {
-        throw cli::UsageError(std::string("request field \"") + key +
-                              "\" must be a string");
-      }
-      *dst = v->string_value;
+  // A present field of the wrong JSON type is a usage error.
+  const auto field = [&](const char* key, JsonValue::Kind kind,
+                         const char* type) {
+    const JsonValue* v = doc.find(key);
+    if (v != nullptr && v->kind != kind) {
+      throw cli::UsageError(std::string("request field \"") + key +
+                            "\" must be " + type);
     }
+    return v;
+  };
+  const auto get_string = [&](const char* key, std::string* dst) {
+    const JsonValue* v = field(key, JsonValue::Kind::kString, "a string");
+    if (v != nullptr) *dst = v->string_value;
   };
   const auto get_bool = [&](const char* key, bool* dst) {
-    if (const JsonValue* v = doc.find(key)) {
-      if (v->kind != JsonValue::Kind::kBool) {
-        throw cli::UsageError(std::string("request field \"") + key +
-                              "\" must be a boolean");
-      }
-      *dst = v->bool_value;
-    }
+    const JsonValue* v = field(key, JsonValue::Kind::kBool, "a boolean");
+    if (v != nullptr) *dst = v->bool_value;
   };
   const auto get_number = [&](const char* key, double* dst) {
-    if (const JsonValue* v = doc.find(key)) {
-      if (v->kind != JsonValue::Kind::kNumber) {
-        throw cli::UsageError(std::string("request field \"") + key +
-                              "\" must be a number");
-      }
-      *dst = v->number;
-    }
+    const JsonValue* v = field(key, JsonValue::Kind::kNumber, "a number");
+    if (v != nullptr) *dst = v->number;
   };
   get_string("op", &req.op);
   if (req.op.empty()) throw cli::UsageError("request has no \"op\" field");
@@ -158,10 +155,16 @@ Request parse_request(const std::string& payload) {
   get_string("coloring", &req.coloring_text);
   get_bool("stats", &req.want_stats);
   get_bool("proper_only", &req.proper_only);
-  double seed = static_cast<double>(req.seed);
-  get_number("seed", &seed);
-  if (seed < 0) throw cli::UsageError("request \"seed\" must be >= 0");
-  req.seed = static_cast<std::uint64_t>(seed);
+  // The seed is read from the number's own digits: a double cannot hold
+  // every 64-bit seed, and a fraction or exponent is not a seed at all.
+  const JsonValue* seed = field("seed", JsonValue::Kind::kNumber, "a number");
+  if (seed != nullptr &&
+      !io_detail::parse_u64(std::string_view(payload).substr(
+                                seed->raw_begin,
+                                seed->raw_end - seed->raw_begin),
+                            &req.seed)) {
+    throw cli::UsageError("request \"seed\" must be an integer in [0, 2^64)");
+  }
   double threads = req.threads;
   get_number("threads", &threads);
   if (threads < 1 || threads > cli::kMaxThreads) {

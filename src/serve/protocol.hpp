@@ -57,7 +57,7 @@ struct Request {
   std::string graph_spec;    // "--gen=..." / "--input=/abs/path"
   std::string palette_spec;  // empty = "--palette=delta1"
   std::string algo = "reduce";
-  std::uint64_t seed = 1;
+  std::uint64_t seed = 1;        // any integer in [0, 2^64)
   unsigned threads = 1;          // per-request data-parallel budget
   bool want_stats = false;       // color: include the stats JSON document
   double timeout_seconds = 0;    // 0 = no per-request deadline
@@ -68,8 +68,9 @@ struct Request {
 };
 
 /// Parse a request payload. Throws cli::UsageError on malformed JSON, a
-/// missing/unknown op, or out-of-range fields — the server maps that to an
-/// "usage" error frame for this request only.
+/// missing op, or a field of the wrong type or out of range — the server
+/// maps that to a "usage" error frame for this request only. The rules
+/// between fields are cli::check_request's (cli/request.hpp).
 Request parse_request(const std::string& payload);
 
 /// Render a request payload (the client side of parse_request).

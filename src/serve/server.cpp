@@ -19,18 +19,15 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <system_error>
 #include <thread>
 #include <vector>
 
-#include "cli/pipeline.hpp"
+#include "cli/request.hpp"
 #include "cli/spec.hpp"
 #include "exec/exec.hpp"
-#include "graph/coloring.hpp"
 #include "serve/instance_store.hpp"
 #include "serve/protocol.hpp"
 #include "util/check.hpp"
-#include "util/deadline.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
@@ -157,16 +154,10 @@ struct ServerState {
 };
 
 /// The deterministic core of color/stats: resolve the instance, run the
-/// pipeline under the request's budget, render the "result" object. Returns
+/// checked request under its budget, render the "result" object. Returns
 /// via CachedResult so hits and misses share one rendering.
 CachedResult run_color(ServerState& st, const Request& req,
                        bool* instance_hit, bool* result_hit) {
-  if (req.graph_spec.empty()) {
-    cli::usage_error("\"" + req.op + "\" request needs a \"graph\" spec");
-  }
-  if (!cli::pipeline_known(req.algo)) {
-    cli::usage_error("unknown algo '" + req.algo + "'");
-  }
   const InstanceStore::Acquired acq =
       st.store->acquire(req.graph_spec, st.exec);
   *instance_hit = acq.hit;
@@ -189,20 +180,11 @@ CachedResult run_color(ServerState& st, const Request& req,
   }
   *result_hit = false;
 
-  Deadline deadline;
-  ExecContext exec = st.exec.with_budget(req.threads);
-  if (req.timeout_seconds > 0) {
-    deadline = Deadline::after_seconds(req.timeout_seconds);
-    exec.set_deadline(&deadline);
-  }
-  const bool want_stats = req.want_stats || req.op == "stats";
-  cli::PipelineRun run =
-      cli::run_pipeline(req.algo, inst.graph(), *palettes, exec, req.seed,
-                        want_stats, &inst.tables());
-  const VerifyResult v =
-      verify_coloring(inst.graph(), *palettes, run.coloring);
-  DC_CHECK(v.ok, "algo '", req.algo, "' produced an invalid coloring: ",
-           v.issue);
+  cli::Execution ex =
+      cli::execute(req, inst.graph(), *palettes,
+                   st.exec.with_budget(req.threads), &inst.tables());
+  DC_CHECK(ex.verdict.ok, "algo '", req.algo,
+           "' produced an invalid coloring: ", ex.verdict.issue);
 
   JsonWriter w;
   w.begin_object();
@@ -214,29 +196,25 @@ CachedResult run_color(ServerState& st, const Request& req,
   w.key("threads").value(req.threads);
   w.key("n").value(std::uint64_t{inst.graph().num_nodes()});
   w.key("m").value(std::uint64_t{inst.graph().num_edges()});
-  w.key("rounds").value(run.rounds);
-  w.key("colors_used")
-      .value(std::uint64_t{cli::count_distinct_colors(run.coloring)});
+  w.key("rounds").value(ex.run.rounds);
+  w.key("colors_used").value(std::uint64_t{ex.colors_used});
   w.key("verified").value(true);
   if (req.op == "color") {
     std::ostringstream file;
-    cli::write_coloring(file, run.coloring, inst.canonical_spec(),
+    cli::write_coloring(file, ex.run.coloring, inst.canonical_spec(),
                         pal_canonical);
     w.key("coloring_file").value(file.str());
   }
-  if (!run.mpc_json.empty()) w.key("mpc").raw(run.mpc_json);
+  if (!ex.run.mpc_json.empty()) w.key("mpc").raw(ex.run.mpc_json);
   w.end_object();
   out.result_json = w.str();
-  out.stats_json = std::move(run.stats_json);
+  out.stats_json = std::move(ex.run.stats_json);
   st.results->put(key, out);
   return out;
 }
 
 std::string render_verify_result(ServerState& st, const Request& req,
                                  bool* instance_hit) {
-  if (req.coloring_text.empty()) {
-    cli::usage_error("\"verify\" request needs a \"coloring\" file text");
-  }
   std::istringstream is(req.coloring_text);
   const cli::ColoringFile file = cli::read_coloring(is, "request coloring");
   if (file.graph_spec.empty()) {
@@ -248,33 +226,17 @@ std::string render_verify_result(ServerState& st, const Request& req,
       st.store->acquire(file.graph_spec, st.exec);
   *instance_hit = acq.hit;
   const ServeInstance& inst = *acq.instance;
-  DC_CHECK(inst.graph().num_nodes() == file.coloring.color.size(),
-           "graph has ", inst.graph().num_nodes(),
-           " nodes but the coloring has ", file.coloring.color.size(),
-           " entries");
-  VerifyResult v;
-  const bool proper_only = req.proper_only || file.palette_spec.empty();
-  if (proper_only) {
-    v = verify_proper_partial(inst.graph(), file.coloring);
-    if (v.ok && !file.coloring.complete()) {
-      v.ok = false;
-      v.issue = "coloring is incomplete (" +
-                std::to_string(file.coloring.num_colored()) + " of " +
-                std::to_string(file.coloring.color.size()) +
-                " nodes colored)";
-    }
-  } else {
-    const std::shared_ptr<const PaletteSet> palettes =
-        acq.instance->palettes(file.palette_spec, nullptr);
-    v = verify_coloring(inst.graph(), *palettes, file.coloring);
-  }
+  const cli::FileVerdict fv = cli::verify_coloring_file(
+      inst.graph(), file, req.proper_only, [&](const std::string& spec) {
+        return acq.instance->palettes(spec, nullptr);
+      });
   JsonWriter w;
   w.begin_object();
   w.key("op").value("verify");
   w.key("graph").value(inst.canonical_spec());
-  w.key("valid").value(v.ok);
-  if (!v.ok) w.key("issue").value(v.issue);
-  w.key("proper_only").value(proper_only);
+  w.key("valid").value(fv.verdict.ok);
+  if (!fv.verdict.ok) w.key("issue").value(fv.verdict.issue);
+  w.key("proper_only").value(fv.proper_only);
   w.key("n").value(std::uint64_t{inst.graph().num_nodes()});
   w.key("m").value(std::uint64_t{inst.graph().num_edges()});
   w.key("colors_used")
@@ -304,13 +266,12 @@ std::string render_info_result(ServerState& st) {
   return w.str();
 }
 
-/// One request -> one response payload. Exceptions map to error classes
-/// mirroring the suite runner's taxonomy; only this request is affected.
+/// One request -> one response payload. Exceptions map to the shared error
+/// taxonomy (cli/request.hpp); only this request is affected.
 std::string handle_payload(ServerState& st, const std::string& payload) {
   const std::uint64_t seq = st.requests.fetch_add(1) + 1;
   WallTimer timer;
   std::string op = "?";
-  std::string log_status = "ok";
   std::string log_class;
   bool instance_hit = false;
   bool result_hit = false;
@@ -318,83 +279,47 @@ std::string handle_payload(ServerState& st, const std::string& payload) {
   try {
     const Request req = parse_request(payload);
     op = req.op;
+    // On the wire an omitted "threads" is the default 1.
+    cli::check_request(req, req.threads != 1);
+    JsonWriter w;
+    w.begin_object();
+    w.key("ok").value(true);
     if (req.op == "ping" || req.op == "shutdown") {
       if (req.op == "shutdown") st.request_stop();
-      JsonWriter w;
-      w.begin_object();
-      w.key("ok").value(true);
       w.key("result").begin_object();
       w.key("op").value(req.op);
       w.end_object();
-      w.end_object();
-      response = w.str();
     } else if (req.op == "info") {
-      JsonWriter w;
-      w.begin_object();
-      w.key("ok").value(true);
       w.key("result").raw(render_info_result(st));
-      w.end_object();
-      response = w.str();
-    } else if (req.op == "color" || req.op == "stats") {
-      const CachedResult r = run_color(st, req, &instance_hit, &result_hit);
-      JsonWriter w;
-      w.begin_object();
-      w.key("ok").value(true);
-      w.key("result").raw(r.result_json);
-      if (!r.stats_json.empty()) w.key("stats").raw(r.stats_json);
-      w.key("transient").begin_object();
-      w.key("wall_seconds").value(timer.seconds());
-      w.key("instance_hit").value(instance_hit);
-      w.key("result_hit").value(result_hit);
-      w.end_object();
-      w.end_object();
-      response = w.str();
-    } else if (req.op == "verify") {
-      const std::string result = render_verify_result(st, req, &instance_hit);
-      JsonWriter w;
-      w.begin_object();
-      w.key("ok").value(true);
-      w.key("result").raw(result);
-      w.key("transient").begin_object();
-      w.key("wall_seconds").value(timer.seconds());
-      w.key("instance_hit").value(instance_hit);
-      w.end_object();
-      w.end_object();
-      response = w.str();
     } else {
-      cli::usage_error("unknown op '" + req.op + "'");
+      std::string stats_json;
+      if (req.op == "verify") {
+        w.key("result").raw(render_verify_result(st, req, &instance_hit));
+      } else {
+        CachedResult r = run_color(st, req, &instance_hit, &result_hit);
+        w.key("result").raw(r.result_json);
+        stats_json = std::move(r.stats_json);
+      }
+      if (!stats_json.empty()) w.key("stats").raw(stats_json);
+      w.key("transient").begin_object();
+      w.key("wall_seconds").value(timer.seconds());
+      w.key("instance_hit").value(instance_hit);
+      if (req.op != "verify") w.key("result_hit").value(result_hit);
+      w.end_object();
     }
-  } catch (const cli::UsageError& e) {
-    log_status = "error";
-    log_class = "usage";
-    response = render_error("usage", e.what());
-  } catch (const DeadlineExceeded& e) {
-    log_status = "error";
-    log_class = "timeout";
-    response = render_error("timeout", e.what());
-  } catch (const CheckError& e) {
-    log_status = "error";
-    log_class = "check";
-    response = render_error("check", e.what());
-  } catch (const std::bad_alloc&) {
-    log_status = "error";
-    log_class = "oom";
-    response = render_error("oom", "allocation failure");
-  } catch (const std::system_error& e) {
-    log_status = "error";
-    log_class = "io";
-    response = render_error("io", e.what());
-  } catch (const std::exception& e) {
-    log_status = "error";
-    log_class = "internal";
-    response = render_error("internal", e.what());
+    w.end_object();
+    response = w.str();
+  } catch (...) {
+    const cli::Failure f = cli::classify_current_exception();
+    log_class = f.error_class;
+    response = render_error(f.error_class, f.message);
   }
   {
     JsonWriter w;
     w.begin_object();
     w.key("seq").value(seq);
     w.key("op").value(op);
-    w.key("status").value(log_status);
+    w.key("status").value(log_class.empty() ? "ok" : "error");
     if (!log_class.empty()) w.key("error_class").value(log_class);
     w.key("wall_seconds").value(timer.seconds());
     w.key("instance_hit").value(instance_hit);
@@ -450,48 +375,45 @@ void executor_loop(ServerState& st) {
   }
 }
 
-int make_unix_listener(const std::string& path, std::string* error) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    *error = "socket path too long: " + path;
-    return -1;
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+/// Bind and listen on `addr`; -1 with *error naming `where` on failure.
+int make_listener(const sockaddr_storage& addr, socklen_t len,
+                  const std::string& where, std::string* error) {
+  const int fd = ::socket(addr.ss_family, SOCK_STREAM, 0);
   if (fd < 0) {
     *error = std::string("socket: ") + std::strerror(errno);
     return -1;
   }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
+  const int one = 1;  // TCP: rebind a port in TIME_WAIT; ignored for Unix
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), len) < 0 ||
       ::listen(fd, 64) < 0) {
-    *error = path + ": " + std::strerror(errno);
+    *error = where + ": " + std::strerror(errno);
     ::close(fd);
     return -1;
   }
   return fd;
 }
 
+int make_unix_listener(const std::string& path, std::string* error) {
+  sockaddr_storage addr{};
+  auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+  un->sun_family = AF_UNIX;
+  if (path.size() >= sizeof(un->sun_path)) {
+    *error = "socket path too long: " + path;
+    return -1;
+  }
+  std::memcpy(un->sun_path, path.c_str(), path.size() + 1);
+  return make_listener(addr, sizeof(sockaddr_un), path, error);
+}
+
 int make_tcp_listener(int port, std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, always
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    *error = "tcp 127.0.0.1:" + std::to_string(port) + ": " +
-             std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+  sockaddr_storage addr{};
+  auto* in = reinterpret_cast<sockaddr_in*>(&addr);
+  in->sin_family = AF_INET;
+  in->sin_port = htons(static_cast<std::uint16_t>(port));
+  in->sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, always
+  return make_listener(addr, sizeof(sockaddr_in),
+                       "tcp 127.0.0.1:" + std::to_string(port), error);
 }
 
 }  // namespace

@@ -481,6 +481,44 @@ TEST(CliDriver, SuiteSpecErrorsAreDataErrors) {
             1);
 }
 
+TEST(CliDriver, SuiteAcceptsEveryRegisteredPipeline) {
+  const fs::path dir = test_dir();
+  const fs::path spec = dir / "suite.spec";
+  const fs::path report = dir / "report.json";
+  std::ofstream os(spec);
+  os << "graph g --gen=gnp --n=120 --p=0.05 --seed=2\n";
+  os << "pipelines reduce randreduce lowspace mis trial greedy\n";
+  os << "seed 5\n";
+  os.close();
+  ASSERT_EQ(run_detcol("suite --spec=" + shq(spec.string()) +
+                       " --quiet --out=" + shq(report.string())),
+            0);
+  EXPECT_NE(read_file(report).find("\"pipeline\":\"randreduce\""),
+            std::string::npos);
+}
+
+TEST(CliDriver, VerifyGraphOverrideReadsEveryFormat) {
+  const fs::path dir = test_dir();
+  const fs::path dcg = dir / "g.dcg";
+  const fs::path dimacs = dir / "g.col";
+  const fs::path colors = dir / "g.colors";
+  ASSERT_EQ(run_detcol("gen --gen=gnp --n=200 --p=0.04 --seed=3 --quiet "
+                       "--out=" + shq(dcg.string())),
+            0);
+  ASSERT_EQ(run_detcol("convert --input=" + shq(dcg.string()) +
+                       " --quiet --out=" + shq(dimacs.string())),
+            0);
+  ASSERT_EQ(run_detcol("color --input=" + shq(dcg.string()) +
+                       " --quiet --out=" + shq(colors.string())),
+            0);
+  for (const fs::path& graph : {dcg, dimacs}) {
+    EXPECT_EQ(run_detcol("verify --coloring=" + shq(colors.string()) +
+                         " --graph=" + shq(graph.string())),
+              0)
+        << graph;
+  }
+}
+
 TEST(CliDriver, ColorAcceptsDimacsAndMetisInputs) {
   const fs::path dir = test_dir();
   const fs::path dimacs = dir / "g.col";

@@ -24,8 +24,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A scratch directory of the running test's own: ctest runs every case as
+/// its own process, concurrently, so a shared directory would let two cases
+/// overwrite each other's files.
 fs::path test_dir() {
-  const fs::path dir = fs::path(::testing::TempDir()) / "detcol_scalable_gen";
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const fs::path dir = fs::path(::testing::TempDir()) / "detcol_scalable_gen" /
+                       (std::string(info->test_suite_name()) + "." +
+                        info->name());
   fs::create_directories(dir);
   return dir;
 }

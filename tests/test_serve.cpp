@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -173,6 +174,25 @@ TEST(ServeRequest, MalformedPayloadsThrowUsageError) {
                cli::UsageError);
   EXPECT_THROW(parse_request("{\"op\":\"color\",\"seed\":\"x\"}"),
                cli::UsageError);
+  // A seed is an integer in [0, 2^64): no fraction, exponent, sign or
+  // overflow is rounded or wrapped into one.
+  for (const char* seed : {"2.7", "1e30", "-1", "18446744073709551616"}) {
+    EXPECT_THROW(parse_request(std::string("{\"op\":\"color\",\"seed\":") +
+                               seed + "}"),
+                 cli::UsageError)
+        << seed;
+  }
+}
+
+TEST(ServeRequest, SeedKeepsEvery64BitValue) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, (std::uint64_t{1} << 53) + 1,
+        std::uint64_t{18446744073709551615u}}) {
+    Request req;
+    req.op = "color";
+    req.seed = seed;
+    EXPECT_EQ(parse_request(render_request(req)).seed, seed);
+  }
 }
 
 TEST(ServeRequest, ErrorFrameCarriesClassAndMessage) {

@@ -355,6 +355,24 @@ TEST(ServeE2E, CliColorThroughServerMatchesLocalRun) {
             1);
 }
 
+TEST(ServeE2E, CliTrialSeedsBeyondDoublePrecisionMatchLocalRuns) {
+  const fs::path dir = test_dir();
+  const fs::path sock = dir / "s.sock";
+  ServerGuard server(sock, {});
+  // 2^53 + 1 and 2^64 - 1: a seed read through a double would change.
+  for (const char* seed : {"9007199254740993", "18446744073709551615"}) {
+    const std::string flags = std::string("color --gen=gnp --n=300 --p=0.03 ") +
+                              "--algo=trial --seed=" + seed + " --quiet";
+    const fs::path local = dir / (std::string(seed) + ".local.colors");
+    const fs::path served = dir / (std::string(seed) + ".served.colors");
+    ASSERT_EQ(run_detcol(flags + " --out=" + shq(local.string())), 0);
+    ASSERT_EQ(run_detcol(flags + " --server=" + shq(sock.string()) +
+                         " --out=" + shq(served.string())),
+              0);
+    EXPECT_EQ(read_file(local), read_file(served)) << seed;
+  }
+}
+
 TEST(ServeE2E, CliStatsThroughServerRecordsRequestThreads) {
   const fs::path dir = test_dir();
   const fs::path sock = dir / "s.sock";
@@ -527,6 +545,24 @@ TEST(ServeE2E, MalformedRequestsGetUsageFramesAndTheConnectionLives) {
   unknown.op = "frobnicate";
   const JsonValue resp2 = client.roundtrip(unknown, &raw);
   EXPECT_EQ(resp2.find("error_class")->string_value, "usage");
+  // The CLI's request rules hold on the wire too: a stats request runs
+  // reduce only, and greedy takes neither a thread budget nor stats.
+  serve::Request stats_trial = color_request(kGraph);
+  stats_trial.op = "stats";
+  stats_trial.algo = "trial";
+  serve::Request stats_lowspace = stats_trial;
+  stats_lowspace.algo = "lowspace";
+  serve::Request greedy_threads = color_request(kGraph, 4);
+  greedy_threads.algo = "greedy";
+  serve::Request greedy_stats = color_request(kGraph);
+  greedy_stats.algo = "greedy";
+  greedy_stats.want_stats = true;
+  for (const serve::Request& req :
+       {stats_trial, stats_lowspace, greedy_threads, greedy_stats}) {
+    const JsonValue r = client.roundtrip(req, &raw);
+    EXPECT_FALSE(r.find("ok")->bool_value) << raw;
+    EXPECT_EQ(r.find("error_class")->string_value, "usage") << raw;
+  }
   // Same connection, a good request still answers.
   const JsonValue resp3 = client.roundtrip(color_request(kGraph), &raw);
   EXPECT_TRUE(resp3.find("ok")->bool_value);
